@@ -1,8 +1,9 @@
 """Differentially private tabular data synthesis.
 
 A sequential GAN generates one column at a time from the previously
-generated columns plus fresh noise; a row-wise group-lasso penalty on each
-sub-generator's input map switches off spurious cross-column dependencies;
+generated columns plus fresh noise; a group-lasso penalty on each input's
+whole dependence (its input-map row and skip entry) switches off spurious
+cross-column dependencies;
 the critic is trained with per-example clipped, noised gradients and the
 privacy cost is tracked by a Renyi-DP accountant. Synthetic
 structural-equation benchmarks and a metric suite round things out.
@@ -49,10 +50,7 @@ from .models import (
     SequentialGenerator,
     SubGenerator,
     clip_weights,
-    discriminator_forward,
-    discriminator_per_example_grad,
     generator_grad,
-    generator_sample,
     group_lasso,
     group_lasso_subgrad,
     load_checkpoint,
@@ -63,7 +61,6 @@ from .models import (
     prune,
     row_norms,
     save_checkpoint,
-    subgen_forward,
 )
 from .semdata import (
     Dag,

@@ -14,7 +14,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,20 +27,9 @@ from .errors import (
     UsageError,
 )
 
-TRAIN_FIELDS = (
-    "steps",
-    "batch",
-    "t_g",
-    "eta_theta",
-    "eta_nu",
-    "lam",
-    "gamma",
-    "tau",
-    "clamp",
-    "init_out_gain",
-    "init_noise_gain",
-    "seed",
-)
+# Every TrainConfig field but the nested DP settings, which have flags of
+# their own (--sigma, --epsilon, --delta, --clip).
+TRAIN_FIELDS = tuple(f.name for f in fields(training.TrainConfig) if f.name != "dp")
 
 
 def _sha256(path: Path) -> str:
@@ -120,7 +109,6 @@ def _resolve_train_config(args) -> training.TrainConfig:
     values["epsilon"] = None
     values["delta"] = dp.DEFAULT_DELTA
     values["clip"] = dp.DpConfig.clip_norm
-    values["two_step"] = False
     if args.config is not None:
         try:
             loaded = json.loads(Path(args.config).read_text())
@@ -142,7 +130,6 @@ def _resolve_train_config(args) -> training.TrainConfig:
     sigma = values["sigma"] if values["sigma"] is not None else 0.0
     cfg = training.TrainConfig(
         **{f: values[f] for f in TRAIN_FIELDS},
-        two_step=bool(values["two_step"]),
         dp=dp.DpConfig(
             clip_norm=values["clip"],
             noise_multiplier=sigma,
@@ -167,8 +154,7 @@ def cmd_train(args) -> int:
 
     pre = tabular.fit_preprocessor(data)
     standardized = tabular.transform(pre, data)
-    run = training.train_two_step if cfg.two_step else training.train
-    g, f, report = run(standardized, cfg)
+    g, f, report = training.train(standardized, cfg)
 
     models.save_checkpoint(out / "checkpoint.json", g, f)
     tabular.save_preprocessor(out / "preprocessor.json", pre)
@@ -176,7 +162,6 @@ def cmd_train(args) -> int:
     config = {f: getattr(cfg, f) for f in TRAIN_FIELDS}
     config.update(
         {
-            "two_step": cfg.two_step,
             "sigma": cfg.dp.noise_multiplier,
             "clip": cfg.dp.clip_norm,
             "delta": cfg.dp.delta,

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import nn
 from .errors import ShapeError, UsageError
-from .nn import IDENTITY, LEAKY_RELU, DenseLayer, dense_backward, dense_forward, init_dense
+from .nn import IDENTITY, LEAKY_RELU, DenseLayer, init_dense
 
 HIDDEN_WIDTH = 10
 
@@ -199,48 +199,11 @@ def new_discriminator(d: int, clamp: float, rng: np.random.Generator) -> Discrim
 
 
 # ---------------------------------------------------------------------------
-# forward passes (per-vector)
-
-
-def subgen_forward(s: SubGenerator, x_prefix: np.ndarray, z: float) -> float:
-    """One column value: skip path plus the one-hidden-layer net on features."""
-    x_prefix = np.asarray(x_prefix, dtype=np.float64).reshape(-1)
-    if x_prefix.shape != (s.index - 1,):
-        raise ShapeError(f"prefix length {x_prefix.size}, expected {s.index - 1}")
-    u = np.append(x_prefix, float(z))
-    feat = s.w_in.T @ u
-    h, _ = dense_forward(s.hidden, feat)
-    y, _ = dense_forward(s.out, h)
-    return float(s.skip @ u + y[0])
-
-
-def generator_sample(g: SequentialGenerator, Z: np.ndarray) -> np.ndarray:
-    """Map one noise vector to one synthetic row, column by column."""
-    Z = np.asarray(Z, dtype=np.float64).reshape(-1)
-    if Z.shape != (g.d,):
-        raise ShapeError(f"noise length {Z.size}, expected {g.d}")
-    x = np.empty(g.d)
-    for jj, s in enumerate(g.subs):
-        x[jj] = subgen_forward(s, x[:jj], Z[jj])
-    return x
-
-
-def discriminator_forward(f: Discriminator, x: np.ndarray) -> float:
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    if x.shape != (f.in_dim,):
-        raise ShapeError(f"input length {x.size}, expected {f.in_dim}")
-    h = x
-    for layer in f.layers:
-        h, _ = dense_forward(layer, h)
-    return float(h[0])
-
-
-# ---------------------------------------------------------------------------
-# batched internals (vectorized twins of the per-vector passes; the
-# per-vector functions above are the reference the tests compare against)
+# forward and backward passes, batched: row i of every array is one example
 
 
 def sample_batch(g: SequentialGenerator, Zb: np.ndarray) -> np.ndarray:
+    """Map a (B, d) noise batch to B synthetic rows, column by column."""
     X, _ = _generator_forward_cached(g, Zb)
     return X
 
@@ -405,34 +368,6 @@ def generator_grad(
         pieces[jj] = np.concatenate(
             [dW.ravel(), dskip, dA.ravel(), dbh, dc.ravel(), np.array([dbo])]
         )
-    return np.concatenate(pieces)
-
-
-def discriminator_per_example_grad(
-    f: Discriminator,
-    g: SequentialGenerator,
-    X_i: np.ndarray,
-    Z_i: np.ndarray,
-) -> np.ndarray:
-    """Flat critic-parameter gradient of the one-example loss
-    ``-(critic(X_i) - critic(g(Z_i)))``, in ``nu_flatten`` order.
-    """
-    fake = generator_sample(g, Z_i)
-    return _single_param_grad(f, fake, +1.0) + _single_param_grad(f, np.asarray(X_i, dtype=np.float64), -1.0)
-
-
-def _single_param_grad(f: Discriminator, x: np.ndarray, sign: float) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    h = x
-    caches = []
-    for layer in f.layers:
-        h, cache = dense_forward(layer, h)
-        caches.append(cache)
-    dy = np.array([sign])
-    pieces = [None] * len(f.layers)
-    for li in range(len(f.layers) - 1, -1, -1):
-        dy, dw, db = dense_backward(f.layers[li], caches[li], dy)
-        pieces[li] = np.concatenate([dw.ravel(), db])
     return np.concatenate(pieces)
 
 

@@ -1,7 +1,8 @@
-"""Minimal dense-network core: float64 layers, exact reverse-mode gradients.
+"""Minimal dense-network core: float64 layers, activations and their
+derivatives, and a finite-difference gradient check.
 
-Everything here is per-vector; callers that need batches loop (or vectorize
-on their side). Weights are (out, in) matrices, biases are (out,) vectors.
+The forward and backward passes over whole batches live in ``models``.
+Weights are (out, in) matrices, biases are (out,) vectors.
 """
 
 from __future__ import annotations
@@ -74,45 +75,11 @@ def init_dense(
     return DenseLayer(weight, np.zeros(n_out), activation, slope)
 
 
-def _activate(layer: DenseLayer, pre: np.ndarray) -> np.ndarray:
-    if layer.activation == LEAKY_RELU:
-        return leaky_relu(pre, layer.slope)
-    return pre
-
-
 def act_grad(layer: DenseLayer, pre: np.ndarray) -> np.ndarray:
     """Activation derivative evaluated at the cached pre-activation."""
     if layer.activation == LEAKY_RELU:
         return leaky_relu_grad(pre, layer.slope)
     return np.ones_like(pre)
-
-
-def dense_forward(layer: DenseLayer, x: np.ndarray):
-    """Apply the layer to one input vector.
-
-    Returns (y, cache); the cache holds what dense_backward needs.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (layer.in_dim,):
-        raise ShapeError(f"input shape {x.shape}, expected ({layer.in_dim},)")
-    pre = layer.weight @ x + layer.bias
-    return _activate(layer, pre), (x, pre)
-
-
-def dense_backward(layer: DenseLayer, cache, dy: np.ndarray):
-    """Backpropagate an output adjoint through the layer.
-
-    Returns (dx, dweight, dbias) for the cached forward input.
-    """
-    x, pre = cache
-    dy = np.asarray(dy, dtype=np.float64)
-    if dy.shape != (layer.out_dim,):
-        raise ShapeError(f"adjoint shape {dy.shape}, expected ({layer.out_dim},)")
-    dpre = dy * act_grad(layer, pre)
-    dweight = np.outer(dpre, x)
-    dbias = dpre
-    dx = layer.weight.T @ dpre
-    return dx, dweight, dbias
 
 
 def grad_check(f, params: np.ndarray, eps: float = 1e-6) -> float:

@@ -8,9 +8,10 @@ critic gradients feeding the privatized release); everything else runs on
 noise. Privacy accounting covers every step, including steps whose Poisson
 batch came up empty and were therefore skipped.
 
-The two-step variant trains penalized, prunes weak prefix rows to exact
-zero, then re-optimizes without the penalty while the frozen rows stay
-pinned; the privacy ledger spans both phases.
+With ``TrainConfig.two_step`` the same loop runs a second phase: it trains
+penalized, prunes weak prefix rows to exact zero, then re-optimizes without
+the penalty while the frozen rows stay pinned; the privacy ledger spans
+both phases.
 """
 
 from __future__ import annotations
@@ -60,11 +61,6 @@ class TrainConfig:
             raise UsageError(f"clamp must be positive, got {self.clamp}")
         if self.init_out_gain <= 0 or self.init_noise_gain <= 0:
             raise UsageError("init gains must be positive")
-
-
-def lambda_schedule(lam: float, gamma: float, d: int) -> np.ndarray:
-    """Penalty strength per column: lam * j**gamma for j = 1..d."""
-    return models.PenaltySchedule(lam, gamma).values(d)
 
 
 def poisson_batch(n: int, q: float, rng: np.random.Generator) -> np.ndarray:
@@ -143,18 +139,17 @@ def _run_phase(
     g,
     f,
     cfg: TrainConfig,
+    dp_cfg: dp.DpConfig,
     sched: models.PenaltySchedule,
     rngs,
     trace: list,
 ) -> int:
     """One optimization phase of cfg.steps; returns the generator update count."""
     _, rng_batch, rng_z, rng_noise = rngs
-    q = cfg.batch / data.n
-    dp_cfg = replace(cfg.dp, sample_rate=q)
     d = data.d
     gen_updates = 0
     for t in range(1, cfg.steps + 1):
-        idx = poisson_batch(data.n, q, rng_batch)
+        idx = poisson_batch(data.n, dp_cfg.sample_rate, rng_batch)
         if idx.size > 0:
             X_real = data.rows(idx)
             Zb = rng_z.standard_normal((idx.size, d))
@@ -181,10 +176,12 @@ def _run_phase(
     return gen_updates
 
 
+def _epsilon(cfg: TrainConfig, ledger) -> float:
+    return math.inf if cfg.dp.noise_multiplier == 0.0 else dp.eps_from_ledger(ledger)
+
+
 def _finish_report(cfg, q, ledger, gen_updates, trace, g, mask, eps1, t0) -> TrainReport:
     sigma = cfg.dp.noise_multiplier
-    non_private = sigma == 0.0
-    eps = math.inf if non_private else dp.eps_from_ledger(ledger)
     return TrainReport(
         seed=cfg.seed,
         steps=ledger.steps,
@@ -195,67 +192,50 @@ def _finish_report(cfg, q, ledger, gen_updates, trace, g, mask, eps1, t0) -> Tra
         sample_rate=q,
         clip_norm=cfg.dp.clip_norm,
         delta=cfg.dp.delta,
-        epsilon=eps,
+        epsilon=_epsilon(cfg, ledger),
         epsilon_phase1=eps1,
-        non_private=non_private,
+        non_private=sigma == 0.0,
         trace=trace,
         row_norm_table=[norms.tolist() for norms in models.row_norms(g)],
         freeze_mask=mask,
-        wall_clock=0.0 if t0 is None else time.perf_counter() - t0,
+        wall_clock=time.perf_counter() - t0,
     )
 
 
 def train(data: Table, cfg: TrainConfig):
-    """Single-phase training with the group-lasso penalty active throughout.
+    """Train generator and critic; returns (generator, discriminator, report).
 
-    Returns (generator, discriminator, report).
+    Runs one phase of cfg.steps with the group-lasso penalty active. With
+    ``cfg.two_step`` the model is then pruned at ``cfg.tau`` and re-fit for
+    another cfg.steps without the penalty; the freeze mask holds through
+    phase two (pruned rows stay exactly zero), and the report carries both
+    the end-of-phase-one epsilon and the final one.
     """
     t0 = time.perf_counter()
     q = _check_data(data, cfg)
+    dp_cfg = replace(cfg.dp, sample_rate=q)
     rngs = _streams(cfg.seed)
     rng_init = rngs[0]
     g = models.new_generator(
         data.d, rng_init, out_gain=cfg.init_out_gain, noise_gain=cfg.init_noise_gain
     )
     f = models.new_discriminator(data.d, cfg.clamp, rng_init)
-    sched = models.PenaltySchedule(cfg.lam, cfg.gamma)
+    ledger = dp.new_ledger(cfg.dp.orders, cfg.dp.delta)
     trace: list = []
-    gen_updates = _run_phase(data, g, f, cfg, sched, rngs, trace)
-    ledger = dp.ledger_compose(
-        dp.new_ledger(cfg.dp.orders, cfg.dp.delta), replace(cfg.dp, sample_rate=q), cfg.steps
-    )
-    return g, f, _finish_report(cfg, q, ledger, gen_updates, trace, g, None, None, t0)
+    gen_updates = 0
+    mask = eps1 = None
+    for phase, lam in enumerate([cfg.lam, 0.0] if cfg.two_step else [cfg.lam]):
+        if phase == 1:
+            eps1 = _epsilon(cfg, ledger)
+            g, frozen = models.prune(g, cfg.tau)
+            mask = [m.tolist() for m in frozen]
+        sched = models.PenaltySchedule(lam, cfg.gamma)
+        gen_updates += _run_phase(data, g, f, cfg, dp_cfg, sched, rngs, trace)
+        ledger = dp.ledger_compose(ledger, dp_cfg, cfg.steps)
+    return g, f, _finish_report(cfg, q, ledger, gen_updates, trace, g, mask, eps1, t0)
 
 
 def train_two_step(data: Table, cfg: TrainConfig):
-    """Penalized phase, hard prune at tau, unpenalized re-fit of equal length.
-
-    The freeze mask from the prune holds through phase two (pruned rows stay
-    exactly zero), and the returned report carries both the end-of-phase-one
-    epsilon and the final one.
-    """
-    t0 = time.perf_counter()
-    q = _check_data(data, cfg)
-    rngs = _streams(cfg.seed)
-    rng_init = rngs[0]
-    g = models.new_generator(
-        data.d, rng_init, out_gain=cfg.init_out_gain, noise_gain=cfg.init_noise_gain
-    )
-    f = models.new_discriminator(data.d, cfg.clamp, rng_init)
-    trace: list = []
-
-    sched = models.PenaltySchedule(cfg.lam, cfg.gamma)
-    updates1 = _run_phase(data, g, f, cfg, sched, rngs, trace)
-    dp_cfg = replace(cfg.dp, sample_rate=q)
-    ledger = dp.ledger_compose(dp.new_ledger(cfg.dp.orders, cfg.dp.delta), dp_cfg, cfg.steps)
-    eps1 = math.inf if cfg.dp.noise_multiplier == 0.0 else dp.eps_from_ledger(ledger)
-
-    g, mask = models.prune(g, cfg.tau)
-    relaxed = models.PenaltySchedule(0.0, cfg.gamma)
-    updates2 = _run_phase(data, g, f, cfg, relaxed, rngs, trace)
-    ledger = dp.ledger_compose(ledger, dp_cfg, cfg.steps)
-
-    report = _finish_report(
-        cfg, q, ledger, updates1 + updates2, trace, g, [m.tolist() for m in mask], eps1, t0
-    )
-    return g, f, report
+    """Penalized phase, hard prune at tau, unpenalized re-fit of equal length:
+    ``train`` with ``two_step`` set."""
+    return train(data, replace(cfg, two_step=True))

@@ -67,12 +67,12 @@ def test_criterion_01_gradient_correctness():
 
             analytic = models.generator_grad(f, g, Z, sched)
             probe_g, probe_f = models.from_checkpoint_dict(models.checkpoint_dict(g, f))
-            lams = training.lambda_schedule(sched.lam, sched.gamma, d)
+            lams = sched.values(d)
 
             def gen_obj(theta_flat):
                 models.theta_set(probe_g, theta_flat)
                 fake = models.sample_batch(probe_g, Z)
-                vals = [models.discriminator_forward(f, row) for row in fake]
+                vals, _ = models.disc_forward_batch(f, fake)
                 pen = sum(
                     lam * models.group_lasso(np.column_stack([s.w_in, s.skip]))
                     for lam, s in zip(lams, probe_g.subs)
@@ -84,14 +84,14 @@ def test_criterion_01_gradient_correctness():
 
             x = rng.standard_normal(d)
             z = rng.standard_normal(d)
-            per_ex = models.discriminator_per_example_grad(f, g, x, z)
+            per_ex = models.disc_loss_grads_batch(f, g, x[None], z[None])[0][0]
 
             def disc_loss(nu_flat):
                 models.nu_set(probe_f, nu_flat)
-                fake_row = models.generator_sample(g, z)
+                fake_row = models.sample_batch(g, z[None])
                 return -(
-                    models.discriminator_forward(probe_f, x)
-                    - models.discriminator_forward(probe_f, fake_row)
+                    models.disc_forward_batch(probe_f, x[None])[0][0]
+                    - models.disc_forward_batch(probe_f, fake_row)[0][0]
                 )
 
             numeric_nu = _fd_grad(disc_loss, models.nu_flatten(f))
@@ -182,8 +182,8 @@ def test_criterion_04_causality_invariant():
                 k = int(prng.integers(0, d))
                 Z2 = Z.copy()
                 Z2[k] += prng.standard_normal() * 3
-                base = models.generator_sample(g, Z)
-                moved = models.generator_sample(g, Z2)
+                base = models.sample_batch(g, Z[None])[0]
+                moved = models.sample_batch(g, Z2[None])[0]
                 assert np.array_equal(base[:k], moved[:k]), (d, probe, k)
     took = time.time() - t0
     assert took < 5, f"runtime {took:.1f}s (budget 5s)"

@@ -259,6 +259,23 @@ def test_benchmark_single_point_rows_and_manifest(tmp_path):
     assert manifest["config"]["repeats"] == 1
 
 
+def test_benchmark_config_two_step_trains_two_phases(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"two_step": True}))
+    sweeps = {}
+    for name, extra in (("one", ()), ("two", ("--config", cfg))):
+        out = tmp_path / name
+        rc = run_cli("benchmark", "--sweep", "lambda", "--grid", "0.003", "--repeats", 1,
+                     "--d", 3, "--n", 100, "--steps", 30, "--batch", 20, "--t-g", 5,
+                     "--out", out, *extra)
+        assert rc == 0
+        sweeps[name] = (out / "sweep.csv").read_text()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["two_step"] is (name == "two")
+    # the second phase and the prune change the trained model, so its metrics
+    assert sweeps["one"] != sweeps["two"]
+
+
 def test_benchmark_bad_grid(tmp_path):
     assert run_cli("benchmark", "--sweep", "lambda", "--grid", "a,b",
                    "--out", tmp_path / "x") == 2

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from dpsynth import models, nn
 from dpsynth.errors import ShapeError, UsageError
 from dpsynth.nn import IDENTITY, LEAKY_RELU, DenseLayer
+from naive_models import naive_discriminator, naive_generator, naive_subgen
 
 
 def zero_subgen(j, width=3):
@@ -20,59 +21,67 @@ def zero_subgen(j, width=3):
     )
 
 
-def naive_subgen(s, prefix, z):
-    """Pure-loop re-computation of one sub-generator column."""
-    u = list(prefix) + [z]
-    width = s.width
-    feat = [sum(s.w_in[i, l] * u[i] for i in range(len(u))) for l in range(width)]
-    h = []
-    for o in range(s.hidden.out_dim):
-        pre = s.hidden.bias[o] + sum(s.hidden.weight[o, i] * feat[i] for i in range(width))
-        h.append(pre if pre >= 0 else s.hidden.slope * pre)
-    y = s.out.bias[0] + sum(s.out.weight[0, i] * h[i] for i in range(len(h)))
-    return sum(s.skip[i] * u[i] for i in range(len(u))) + y
+def sample_one(g, z):
+    """One synthetic row through the batched path."""
+    return models.sample_batch(g, np.asarray(z, dtype=np.float64)[None])[0]
+
+
+def critic(f, X):
+    return models.disc_forward_batch(f, X)[0]
 
 
 def test_subgen_zero_parameters_output_zero():
-    assert models.subgen_forward(zero_subgen(1), np.array([]), 0.7) == 0.0
+    g = models.SequentialGenerator([zero_subgen(1)])
+    assert sample_one(g, [0.7])[0] == 0.0
 
 
 def test_subgen_skip_only_path():
+    # column 1 is the constant 5 (output bias only); column 2 reads it
+    # through the skip path alone, plus its own constant bias path
+    first = zero_subgen(1)
+    first.out.bias[0] = 5.0
     s = zero_subgen(2)
     s.skip[:] = (1.0, 0.0)
     s.hidden.bias[:] = (0.3, -0.5, 0.2)
     s.out.weight[0] = (1.0, 1.0, 1.0)
     s.out.bias[0] = 0.05
+    g = models.SequentialGenerator([first, s])
     bias_path = sum(b if b >= 0 else 0.2 * b for b in (0.3, -0.5, 0.2)) + 0.05
     for z in (0.0, -2.0, 13.7):
-        got = models.subgen_forward(s, np.array([5.0]), z)
-        assert abs(got - (5.0 + bias_path)) < 1e-15
+        got = sample_one(g, [0.0, z])
+        assert got[0] == 5.0
+        assert abs(got[1] - (5.0 + bias_path)) < 1e-15
 
 
 def test_subgen_matches_naive_oracle():
     rng = np.random.default_rng(7)
     for _ in range(20):
-        s = models.random_generator(3, rng, width=4).subs[2]
-        prefix = rng.standard_normal(2)
-        z = float(rng.standard_normal())
-        got = models.subgen_forward(s, prefix, z)
-        want = naive_subgen(s, prefix, z)
+        g = models.random_generator(3, rng, width=4)
+        Z = rng.standard_normal((1, 3))
+        X = models.sample_batch(g, Z)
+        got = X[0, 2]
+        want = naive_subgen(g.subs[2], X[0, :2], Z[0, 2])
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
 def test_generator_sample_zero_model():
     g = models.SequentialGenerator([zero_subgen(j) for j in (1, 2, 3)])
-    np.testing.assert_array_equal(models.generator_sample(g, np.array([1.0, -4.0, 9.0])), np.zeros(3))
+    np.testing.assert_array_equal(sample_one(g, [1.0, -4.0, 9.0]), np.zeros(3))
 
 
 def test_generator_sample_sequential_oracle():
     rng = np.random.default_rng(11)
     g = models.random_generator(3, rng)
-    Z = rng.standard_normal(3)
-    x1 = models.subgen_forward(g.subs[0], np.array([]), Z[0])
-    x2 = models.subgen_forward(g.subs[1], np.array([x1]), Z[1])
-    x3 = models.subgen_forward(g.subs[2], np.array([x1, x2]), Z[2])
-    np.testing.assert_allclose(models.generator_sample(g, Z), [x1, x2, x3], rtol=0, atol=0)
+    Z = rng.standard_normal((5, 3))
+    X = models.sample_batch(g, Z)
+    for i in range(5):
+        want = naive_generator(g, Z[i])
+        np.testing.assert_allclose(X[i], want, rtol=0, atol=1e-12 * max(1.0, np.abs(want).max()))
+    # column j depends on the sub-generators up to j only: the first j
+    # sub-generators on their own reproduce the first j columns bit for bit
+    for j in (1, 2):
+        prefix = models.SequentialGenerator(g.subs[:j])
+        np.testing.assert_array_equal(models.sample_batch(prefix, Z[:, :j]), X[:, :j])
 
 
 def test_generator_causality_bit_exact():
@@ -80,11 +89,11 @@ def test_generator_causality_bit_exact():
     for make in (models.random_generator, models.new_generator):
         g = make(6, rng)
         Z = rng.standard_normal(6)
-        base = models.generator_sample(g, Z)
+        base = sample_one(g, Z)
         for k in range(6):
             Z2 = Z.copy()
             Z2[k] += 1.9
-            bumped = models.generator_sample(g, Z2)
+            bumped = sample_one(g, Z2)
             np.testing.assert_array_equal(bumped[:k], base[:k])
             assert bumped[k] != base[k] or make is models.new_generator
 
@@ -96,27 +105,18 @@ def test_discriminator_zero_net_outputs_zero():
         DenseLayer(np.zeros((1, 2)), np.zeros(1), IDENTITY),
     ]
     f = models.Discriminator(layers, 1.0)
-    for x in np.random.default_rng(0).standard_normal((5, 4)):
-        assert models.discriminator_forward(f, x) == 0.0
+    X = np.random.default_rng(0).standard_normal((5, 4))
+    np.testing.assert_array_equal(critic(f, X), np.zeros(5))
 
 
 def test_discriminator_matches_layer_oracle():
     rng = np.random.default_rng(17)
     f = models.new_discriminator(5, 0.5, rng)
-    for _ in range(10):
-        x = rng.standard_normal(5)
-        h = x
-        for layer in f.layers:
-            pre = [
-                layer.bias[o] + sum(layer.weight[o, i] * h[i] for i in range(len(h)))
-                for o in range(layer.out_dim)
-            ]
-            if layer.activation == LEAKY_RELU:
-                h = [p if p >= 0 else layer.slope * p for p in pre]
-            else:
-                h = pre
-        got = models.discriminator_forward(f, x)
-        assert abs(got - h[0]) <= 1e-12 * max(1.0, abs(h[0]))
+    X = rng.standard_normal((10, 5))
+    got = critic(f, X)
+    for i in range(10):
+        want = naive_discriminator(f, X[i])
+        assert abs(got[i] - want) <= 1e-12 * max(1.0, abs(want))
 
 
 def interval_output_bound(f, xmax):
@@ -139,9 +139,8 @@ def test_discriminator_small_clamp_bounded():
     models.clip_weights(f)
     bound = interval_output_bound(f, 1.0)
     assert bound < 1.0
-    for _ in range(200):
-        x = rng.uniform(-1, 1, size=6)
-        assert abs(models.discriminator_forward(f, x)) <= bound + 1e-12
+    X = rng.uniform(-1, 1, size=(200, 6))
+    assert np.abs(critic(f, X)).max() <= bound + 1e-12
 
 
 def test_batched_paths_match_per_vector():
@@ -151,10 +150,10 @@ def test_batched_paths_match_per_vector():
     Zb = rng.standard_normal((9, 4))
     Xb = models.sample_batch(g, Zb)
     for i in range(9):
-        np.testing.assert_allclose(Xb[i], models.generator_sample(g, Zb[i]), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(Xb[i], naive_generator(g, Zb[i]), rtol=0, atol=1e-13)
     vals, _ = models.disc_forward_batch(f, Xb)
     for i in range(9):
-        assert abs(vals[i] - models.discriminator_forward(f, Xb[i])) < 1e-12
+        assert abs(vals[i] - naive_discriminator(f, Xb[i])) < 1e-12
 
 
 def test_group_lasso_hand_values():
@@ -198,6 +197,10 @@ def test_group_lasso_scales_absolutely_homogeneously(c, seed):
 def test_penalty_schedule_values():
     sched = models.PenaltySchedule(0.003, 0.0)
     np.testing.assert_array_equal(sched.values(4), [0.003] * 4)
+    np.testing.assert_array_equal(models.PenaltySchedule(0.0, 1.7).values(3), np.zeros(3))
+    lam20 = models.PenaltySchedule(0.003, 0.2).values(20)[-1]
+    assert abs(lam20 - 0.003 * 20**0.2) < 1e-15
+    assert abs(lam20 - 0.0054617) < 1e-6
     sched = models.PenaltySchedule(2.0, 1.0)
     np.testing.assert_allclose(sched.values(3), [2.0, 4.0, 6.0])
     with pytest.raises(UsageError):
@@ -239,16 +242,18 @@ def test_disc_per_example_grad_matches_finite_differences():
     rng = np.random.default_rng(41)
     g = models.random_generator(3, rng, width=4)
     f = models.new_discriminator(3, 0.5, rng)
-    X_i = rng.standard_normal(3)
-    Z_i = rng.standard_normal(3)
+    X = rng.standard_normal((4, 3))
+    Z = rng.standard_normal((4, 3))
+    fakes = models.sample_batch(g, Z)
 
-    def fn(nu):
-        models.nu_set(f, nu)
-        fake = models.generator_sample(g, Z_i)
-        val = -(models.discriminator_forward(f, X_i) - models.discriminator_forward(f, fake))
-        return val, models.discriminator_per_example_grad(f, g, X_i, Z_i)
+    for i in range(4):
 
-    assert nn.grad_check(fn, models.nu_flatten(f)) < 1e-6
+        def fn(nu):
+            models.nu_set(f, nu)
+            val = -(critic(f, X[i : i + 1])[0] - critic(f, fakes[i : i + 1])[0])
+            return val, models.disc_loss_grads_batch(f, g, X, Z)[0][i]
+
+        assert nn.grad_check(fn, models.nu_flatten(f)) < 1e-6
 
 
 def test_batch_disc_grads_match_per_example():
@@ -259,11 +264,11 @@ def test_batch_disc_grads_match_per_example():
     Z = rng.standard_normal((6, 4))
     grads, f_real, f_fake = models.disc_loss_grads_batch(f, g, X, Z)
     for i in range(6):
-        single = models.discriminator_per_example_grad(f, g, X[i], Z[i])
-        np.testing.assert_allclose(grads[i], single, rtol=0, atol=1e-12)
-        assert abs(f_real[i] - models.discriminator_forward(f, X[i])) < 1e-12
-        fake = models.generator_sample(g, Z[i])
-        assert abs(f_fake[i] - models.discriminator_forward(f, fake)) < 1e-12
+        single, _, _ = models.disc_loss_grads_batch(f, g, X[i : i + 1], Z[i : i + 1])
+        np.testing.assert_allclose(grads[i], single[0], rtol=0, atol=1e-12)
+        assert abs(f_real[i] - naive_discriminator(f, X[i])) < 1e-12
+        fake = naive_generator(g, Z[i])
+        assert abs(f_fake[i] - naive_discriminator(f, fake)) < 1e-12
 
 
 def flat_slices(g):
@@ -436,8 +441,8 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     for a, b in zip(g.subs, g2.subs):
         np.testing.assert_array_equal(a.frozen, b.frozen)
     # behavioural identity
-    Z = rng.standard_normal(4)
-    np.testing.assert_array_equal(models.generator_sample(g, Z), models.generator_sample(g2, Z))
+    Z = rng.standard_normal((3, 4))
+    np.testing.assert_array_equal(models.sample_batch(g, Z), models.sample_batch(g2, Z))
 
 
 def test_checkpoint_rejects_bad_payloads(tmp_path):
@@ -471,13 +476,13 @@ def test_shape_errors():
     g = models.random_generator(3, rng)
     f = models.new_discriminator(3, 0.5, rng)
     with pytest.raises(ShapeError):
-        models.subgen_forward(g.subs[2], np.array([1.0]), 0.0)  # prefix too short
-    with pytest.raises(ShapeError):
-        models.generator_sample(g, np.array([1.0, 2.0]))
-    with pytest.raises(ShapeError):
-        models.discriminator_forward(f, np.array([1.0, 2.0]))
-    with pytest.raises(ShapeError):
         models.sample_batch(g, np.zeros((4, 2)))
+    with pytest.raises(ShapeError):
+        models.sample_batch(g, np.zeros(3))  # one row still needs a batch axis
+    with pytest.raises(ShapeError):
+        models.disc_forward_batch(f, np.zeros((4, 2)))
+    with pytest.raises(ShapeError):
+        models.disc_loss_grads_batch(f, g, np.zeros((4, 3)), np.zeros((3, 3)))
     with pytest.raises(ShapeError):
         models.new_generator(0, rng)
     with pytest.raises(UsageError):

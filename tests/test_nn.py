@@ -7,21 +7,6 @@ from dpsynth import nn
 from dpsynth.errors import NumericError, ShapeError, UsageError
 
 
-def test_dense_forward_identity_is_affine():
-    layer = nn.DenseLayer(np.array([[1.0, 2.0], [0.0, -1.0]]), np.array([0.5, 1.0]))
-    y, _ = nn.dense_forward(layer, np.array([3.0, -2.0]))
-    # hand computation: [1*3 + 2*(-2) + 0.5, 0*3 + (-1)*(-2) + 1.0]
-    np.testing.assert_array_equal(y, [-0.5, 3.0])
-
-
-def test_dense_forward_leaky_relu_negative_branch():
-    layer = nn.DenseLayer(
-        np.array([[1.0], [-1.0]]), np.zeros(2), activation=nn.LEAKY_RELU, slope=0.2
-    )
-    y, _ = nn.dense_forward(layer, np.array([2.0]))
-    np.testing.assert_allclose(y, [2.0, -0.4])
-
-
 def test_leaky_relu_grad_at_zero_is_one():
     assert nn.leaky_relu_grad(np.array([0.0]))[0] == 1.0
 
@@ -42,41 +27,6 @@ def test_init_dense_bounds_and_zero_bias():
     assert layer.weight.shape == (7, 4)
 
 
-def test_dense_backward_matches_central_differences():
-    rng = np.random.default_rng(3)
-    layer = nn.init_dense(5, 4, rng, activation=nn.LEAKY_RELU)
-    x = rng.standard_normal(4)
-    dy = rng.standard_normal(5)
-    _, cache = nn.dense_forward(layer, x)
-    dx, dw, db = nn.dense_backward(layer, cache, dy)
-    eps = 1e-6
-
-    def loss(xv, wv, bv):
-        pre = wv @ xv + bv
-        act = np.where(pre >= 0, pre, layer.slope * pre)
-        return float(dy @ act)
-
-    for i in range(4):
-        xp, xm = x.copy(), x.copy()
-        xp[i] += eps
-        xm[i] -= eps
-        num = (loss(xp, layer.weight, layer.bias) - loss(xm, layer.weight, layer.bias)) / (2 * eps)
-        assert abs(dx[i] - num) < 1e-6
-    for i in range(5):
-        for j in range(4):
-            wp, wm = layer.weight.copy(), layer.weight.copy()
-            wp[i, j] += eps
-            wm[i, j] -= eps
-            num = (loss(x, wp, layer.bias) - loss(x, wm, layer.bias)) / (2 * eps)
-            assert abs(dw[i, j] - num) < 1e-6
-    for i in range(5):
-        bp, bm = layer.bias.copy(), layer.bias.copy()
-        bp[i] += eps
-        bm[i] -= eps
-        num = (loss(x, layer.weight, bp) - loss(x, layer.weight, bm)) / (2 * eps)
-        assert abs(db[i] - num) < 1e-6
-
-
 def test_grad_check_accepts_correct_gradient():
     def f(p):
         return float(p[0] ** 2), np.array([2.0 * p[0]])
@@ -92,14 +42,12 @@ def test_grad_check_flags_corrupted_gradient():
 
 
 def test_shape_errors():
-    layer = nn.DenseLayer(np.eye(2), np.zeros(2))
-    with pytest.raises(ShapeError):
-        nn.dense_forward(layer, np.zeros(3))
-    _, cache = nn.dense_forward(layer, np.zeros(2))
-    with pytest.raises(ShapeError):
-        nn.dense_backward(layer, cache, np.zeros(3))
     with pytest.raises(ShapeError):
         nn.DenseLayer(np.eye(2), np.zeros(3))
+    with pytest.raises(ShapeError):
+        nn.DenseLayer(np.zeros(2), np.zeros(2))
+    with pytest.raises(UsageError):
+        nn.DenseLayer(np.eye(2), np.zeros(2), activation="tanh")
 
 
 def test_grad_check_eps_validation():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,14 +15,6 @@ def small_data(seed=0, d=3, n=60, kind="linear"):
     w = semdata.sample_weights(dag, spec, seed=seed)
     t = semdata.simulate(dag, w, spec, n, seed=seed)
     return tabular.transform(tabular.fit_preprocessor(t), t)
-
-
-def test_lambda_schedule_values():
-    np.testing.assert_array_equal(training.lambda_schedule(0.003, 0.0, 4), [0.003] * 4)
-    np.testing.assert_array_equal(training.lambda_schedule(0.0, 1.7, 3), np.zeros(3))
-    lam20 = training.lambda_schedule(0.003, 0.2, 20)[-1]
-    assert abs(lam20 - 0.003 * 20**0.2) < 1e-15
-    assert abs(lam20 - 0.0054617) < 1e-6
 
 
 def test_poisson_batch_behaviour():
@@ -206,14 +199,27 @@ def test_two_step_huge_tau_freezes_all_prefix_rows():
         assert np.all(s.w_in[:-1] == 0.0)
         assert np.all(s.skip[:-1] == 0.0)
     # causality probe: with every prefix severed, column k reacts only to Z^k
-    Z = np.random.default_rng(0).standard_normal(data.d)
-    base = models.generator_sample(g, Z)
+    Z = np.random.default_rng(0).standard_normal((1, data.d))
+    base = models.sample_batch(g, Z)[0]
     for k in range(data.d):
         Z2 = Z.copy()
-        Z2[k] += 1.0
-        moved = models.generator_sample(g, Z2)
+        Z2[0, k] += 1.0
+        moved = models.sample_batch(g, Z2)[0]
         changed = np.flatnonzero(moved != base)
         np.testing.assert_array_equal(changed, [k])
+
+
+def test_train_with_two_step_set_is_train_two_step():
+    data = small_data(seed=3, d=4, n=80)
+    cfg = training.TrainConfig(
+        steps=20, batch=10, t_g=3, tau=0.12, seed=9, dp=dp.DpConfig(noise_multiplier=1.5)
+    )
+    g1, f1, rep1 = training.train(data, replace(cfg, two_step=True))
+    g2, f2, rep2 = training.train_two_step(data, cfg)
+    np.testing.assert_array_equal(models.theta_flatten(g1), models.theta_flatten(g2))
+    np.testing.assert_array_equal(models.nu_flatten(f1), models.nu_flatten(f2))
+    assert rep1.to_dict() == rep2.to_dict()
+    assert rep1.steps == 40 and rep1.freeze_mask is not None
 
 
 def test_two_step_ledger_covers_both_phases():
