@@ -17,6 +17,18 @@ def small_data(seed=0, d=3, n=60, kind="linear"):
     return tabular.transform(tabular.fit_preprocessor(t), t)
 
 
+def test_lambda_schedule_values():
+    def sched(lam, gamma, d):
+        cfg = training.TrainConfig(lam=lam, gamma=gamma)
+        return models.PenaltySchedule(cfg.lam, cfg.gamma).values(d)
+
+    np.testing.assert_array_equal(sched(0.003, 0.0, 4), [0.003] * 4)
+    np.testing.assert_array_equal(sched(0.0, 1.7, 3), np.zeros(3))
+    lam20 = sched(0.003, 0.2, 20)[-1]
+    assert abs(lam20 - 0.003 * 20**0.2) < 1e-15
+    assert abs(lam20 - 0.0054617) < 1e-6
+
+
 def test_poisson_batch_behaviour():
     rng = np.random.default_rng(0)
     np.testing.assert_array_equal(training.poisson_batch(7, 1.0, rng), np.arange(7))
