@@ -103,6 +103,17 @@ def cmd_simulate(args) -> int:
 # ------------------------------------------------------------------- train
 
 
+def _config_value_ok(value, default) -> bool:
+    """Whether a JSON config value fits the type of its field's default:
+    bools take only bools, ints only non-bool ints, floats ints or floats,
+    and the None-default fields (sigma, epsilon) a float or null."""
+    if default is None:
+        return value is None or _config_value_ok(value, 0.0)
+    if isinstance(default, bool) or isinstance(value, bool):
+        return isinstance(default, bool) and isinstance(value, bool)
+    return isinstance(value, int if isinstance(default, int) else (int, float))
+
+
 def _resolve_train_config(args) -> training.TrainConfig:
     values = {f: getattr(training.TrainConfig, f) for f in TRAIN_FIELDS}
     values["sigma"] = None
@@ -116,9 +127,14 @@ def _resolve_train_config(args) -> training.TrainConfig:
             raise IngestionError(f"cannot read config file: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise IngestionError(f"config file is not valid JSON: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise UsageError("config file must hold a JSON object")
         unknown = set(loaded) - set(values)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in loaded.items():
+            if not _config_value_ok(value, values[key]):
+                raise UsageError(f"config key {key!r} has the wrong type: {value!r}")
         values.update(loaded)
     for key in values:
         flag = getattr(args, key, None)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -76,14 +76,41 @@ class SubGenerator:
         return self.w_in.shape[1]
 
 
+def _gather(groups) -> np.ndarray:
+    """Copy the named arrays of each ``(owner, names)`` group into one new
+    flat buffer, in order, and rebind each name to its view of the buffer."""
+    slots = [(owner, name) for owner, names in groups for name in names]
+    flat = np.empty(sum(getattr(owner, name).size for owner, name in slots))
+    pos = 0
+    for owner, name in slots:
+        arr = getattr(owner, name)
+        flat[pos : pos + arr.size] = arr.ravel()
+        setattr(owner, name, flat[pos : pos + arr.size].reshape(arr.shape))
+        pos += arr.size
+    return flat
+
+
 @dataclass
 class SequentialGenerator:
+    """Sub-generators in column order.
+
+    ``theta`` is the storage, per sub-generator in order: ``w_in`` row-major,
+    ``skip``, hidden weight row-major, hidden bias, output weight, output
+    bias; the sub-generators' arrays are views into it. Building a generator
+    re-homes them, so a sub-generator belongs to one generator at a time.
+    """
+
     subs: list
+    theta: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for pos, s in enumerate(self.subs, start=1):
             if s.index != pos:
                 raise ShapeError(f"sub-generator at position {pos} has index {s.index}")
+        dense = ("weight", "bias")
+        self.theta = _gather(
+            [grp for s in self.subs for grp in ((s, ("w_in", "skip")), (s.hidden, dense), (s.out, dense))]
+        )
 
     @property
     def d(self) -> int:
@@ -92,16 +119,22 @@ class SequentialGenerator:
 
 @dataclass
 class Discriminator:
-    """Small dense critic; weights are clamped to [-clamp, clamp] between steps."""
+    """Small dense critic; weights are clamped to [-clamp, clamp] between steps.
+
+    ``nu`` is the storage: layer by layer, weight row-major, then bias; the
+    layers' arrays are views into it. Building a critic re-homes them.
+    """
 
     layers: list
     clamp: float
+    nu: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.clamp <= 0:
             raise UsageError(f"clamp must be positive, got {self.clamp}")
         if not self.layers or self.layers[-1].out_dim != 1:
             raise ShapeError("discriminator must end in a scalar layer")
+        self.nu = _gather([(layer, ("weight", "bias")) for layer in self.layers])
 
     @property
     def in_dim(self) -> int:
@@ -330,7 +363,7 @@ def generator_grad(
     sched: PenaltySchedule,
 ) -> np.ndarray:
     """Flat gradient of [-mean critic(fakes) + group-lasso penalty] over all
-    generator parameters, in ``theta_flatten`` order. The penalty group for
+    generator parameters, in ``g.theta`` order. The penalty group for
     input k is ``(w_in[k], skip[k])``, so its subgradient reaches both.
     Frozen input slots receive exactly zero gradient.
     """
@@ -393,10 +426,7 @@ def disc_loss_grads_batch(f: Discriminator, g: SequentialGenerator, X_real: np.n
 
 def clip_weights(f: Discriminator) -> Discriminator:
     """Clamp every critic weight and bias into [-clamp, clamp], in place."""
-    c = f.clamp
-    for layer in f.layers:
-        np.clip(layer.weight, -c, c, out=layer.weight)
-        np.clip(layer.bias, -c, c, out=layer.bias)
+    np.clip(f.nu, -f.clamp, f.clamp, out=f.nu)
     return f
 
 
@@ -418,74 +448,15 @@ def prune(g: SequentialGenerator, tau: float):
     """
     if tau < 0:
         raise UsageError(f"tau must be >= 0, got {tau}")
-    g2 = copy.deepcopy(g)
+    # deepcopy detaches views from their buffer; a new generator gathers them again
+    g2 = SequentialGenerator(copy.deepcopy(g.subs))
     mask = []
-    for s in g2.subs:
-        norms = np.sqrt((s.w_in[:-1] ** 2).sum(axis=1))
-        hit = np.zeros(s.index, dtype=bool)
-        hit[:-1] = norms <= tau
-        s.frozen = s.frozen | hit
+    for s, norms in zip(g2.subs, row_norms(g2)):
+        s.frozen = s.frozen | np.append(norms <= tau, False)  # the noise slot is never pruned
         s.w_in[s.frozen] = 0.0
         s.skip[s.frozen] = 0.0
         mask.append(s.frozen.copy())
     return g2, mask
-
-
-# ---------------------------------------------------------------------------
-# flat parameter views
-
-
-def theta_size(g: SequentialGenerator) -> int:
-    return sum(
-        s.w_in.size + s.skip.size + s.hidden.weight.size + s.hidden.bias.size + s.out.weight.size + s.out.bias.size
-        for s in g.subs
-    )
-
-
-def theta_flatten(g: SequentialGenerator) -> np.ndarray:
-    """Documented layout, per sub-generator in order: w_in row-major, skip,
-    hidden weight row-major, hidden bias, output weight, output bias.
-    """
-    pieces = []
-    for s in g.subs:
-        pieces.extend(
-            [s.w_in.ravel(), s.skip, s.hidden.weight.ravel(), s.hidden.bias, s.out.weight.ravel(), s.out.bias]
-        )
-    return np.concatenate(pieces)
-
-
-def theta_set(g: SequentialGenerator, flat: np.ndarray) -> None:
-    flat = np.asarray(flat, dtype=np.float64)
-    if flat.shape != (theta_size(g),):
-        raise ShapeError(f"flat length {flat.size}, expected {theta_size(g)}")
-    pos = 0
-    for s in g.subs:
-        for arr in (s.w_in, s.skip, s.hidden.weight, s.hidden.bias, s.out.weight, s.out.bias):
-            arr[...] = flat[pos : pos + arr.size].reshape(arr.shape)
-            pos += arr.size
-
-
-def nu_size(f: Discriminator) -> int:
-    return sum(layer.weight.size + layer.bias.size for layer in f.layers)
-
-
-def nu_flatten(f: Discriminator) -> np.ndarray:
-    """Layer by layer: weight row-major, then bias."""
-    pieces = []
-    for layer in f.layers:
-        pieces.extend([layer.weight.ravel(), layer.bias])
-    return np.concatenate(pieces)
-
-
-def nu_set(f: Discriminator, flat: np.ndarray) -> None:
-    flat = np.asarray(flat, dtype=np.float64)
-    if flat.shape != (nu_size(f),):
-        raise ShapeError(f"flat length {flat.size}, expected {nu_size(f)}")
-    pos = 0
-    for layer in f.layers:
-        for arr in (layer.weight, layer.bias):
-            arr[...] = flat[pos : pos + arr.size].reshape(arr.shape)
-            pos += arr.size
 
 
 # ---------------------------------------------------------------------------
@@ -499,8 +470,8 @@ def checkpoint_dict(g: SequentialGenerator, f: Discriminator) -> dict:
         "hidden_width": g.subs[0].width,
         "clamp": float(f.clamp),
         "disc_widths": [layer.out_dim for layer in f.layers[:-1]],
-        "theta": theta_flatten(g).tolist(),
-        "nu": nu_flatten(f).tolist(),
+        "theta": g.theta.tolist(),
+        "nu": f.nu.tolist(),
         "freeze_mask": [s.frozen.tolist() for s in g.subs],
     }
 
@@ -508,7 +479,7 @@ def checkpoint_dict(g: SequentialGenerator, f: Discriminator) -> dict:
 def save_checkpoint(path, g: SequentialGenerator, f: Discriminator) -> None:
     """Write the model as JSON. Floats go through repr, so finite values
     round-trip bit-exactly; the flat layouts are the ones documented on
-    ``theta_flatten`` / ``nu_flatten``.
+    ``SequentialGenerator`` / ``Discriminator``.
     """
     with open(path, "w") as fh:
         json.dump(checkpoint_dict(g, f), fh)
@@ -528,18 +499,17 @@ def from_checkpoint_dict(payload: dict):
         mask = payload["freeze_mask"]
     except KeyError as missing:
         raise UsageError(f"checkpoint is missing field {missing}") from None
-    rng = np.random.default_rng(0)
-    g = new_generator(d, rng, width)
-    widths = disc_widths + [1]
-    layers = []
-    fan_in = d
-    for pos, fan_out in enumerate(widths):
-        act = IDENTITY if pos == len(widths) - 1 else LEAKY_RELU
-        layers.append(DenseLayer(np.zeros((fan_out, fan_in)), np.zeros(fan_out), act))
-        fan_in = fan_out
+    g = new_generator(d, np.random.default_rng(0), width)
+    fans = [d] + disc_widths + [1]
+    acts = [LEAKY_RELU] * len(disc_widths) + [IDENTITY]
+    layers = [DenseLayer(np.zeros((o, i)), np.zeros(o), a) for i, o, a in zip(fans, fans[1:], acts)]
     f = Discriminator(layers, clamp)
-    theta_set(g, theta)
-    nu_set(f, nu)
+    if theta.shape != g.theta.shape or nu.shape != f.nu.shape:
+        raise UsageError(f"checkpoint theta/nu sizes {theta.size}/{nu.size}, expected {g.theta.size}/{f.nu.size}")
+    if not isinstance(mask, list) or len(mask) != d:
+        raise UsageError(f"freeze mask needs one entry per column ({d})")
+    g.theta[:] = theta
+    f.nu[:] = nu
     for s, m in zip(g.subs, mask):
         s.frozen = np.asarray(m, dtype=bool)
         if s.frozen.shape != (s.index,):

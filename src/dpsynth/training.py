@@ -155,7 +155,7 @@ def _run_phase(
             Zb = rng_z.standard_normal((idx.size, d))
             grads, f_real, f_fake = models.disc_loss_grads_batch(f, g, X_real, Zb)
             release = dp.privatize(grads, dp_cfg, rng_noise)
-            models.nu_set(f, models.nu_flatten(f) - cfg.eta_nu * release)
+            f.nu -= cfg.eta_nu * release
             models.clip_weights(f)
             delta_est = float(f_real.mean() - f_fake.mean())
             if not math.isfinite(delta_est) or abs(delta_est) > DIVERGENCE_LIMIT:
@@ -168,10 +168,9 @@ def _run_phase(
         if t % cfg.t_g == 0:
             Zg = rng_z.standard_normal((cfg.batch, d))
             step_dir = models.generator_grad(f, g, Zg, sched)
-            theta = models.theta_flatten(g) - cfg.eta_theta * step_dir
-            if not np.all(np.isfinite(theta)):
+            g.theta -= cfg.eta_theta * step_dir
+            if not np.all(np.isfinite(g.theta)):
                 raise TrainingDiverged(f"non-finite generator parameters at step {t}")
-            models.theta_set(g, theta)
             gen_updates += 1
     return gen_updates
 

@@ -70,7 +70,7 @@ def test_criterion_01_gradient_correctness():
             lams = sched.values(d)
 
             def gen_obj(theta_flat):
-                models.theta_set(probe_g, theta_flat)
+                probe_g.theta[:] = theta_flat
                 fake = models.sample_batch(probe_g, Z)
                 vals, _ = models.disc_forward_batch(f, fake)
                 pen = sum(
@@ -79,7 +79,7 @@ def test_criterion_01_gradient_correctness():
                 )
                 return -float(np.mean(vals)) + pen
 
-            numeric = _fd_grad(gen_obj, models.theta_flatten(g))
+            numeric = _fd_grad(gen_obj, g.theta)
             worst = max(worst, _rel_err(analytic, numeric))
 
             x = rng.standard_normal(d)
@@ -87,14 +87,14 @@ def test_criterion_01_gradient_correctness():
             per_ex = models.disc_loss_grads_batch(f, g, x[None], z[None])[0][0]
 
             def disc_loss(nu_flat):
-                models.nu_set(probe_f, nu_flat)
+                probe_f.nu[:] = nu_flat
                 fake_row = models.sample_batch(g, z[None])
                 return -(
                     models.disc_forward_batch(probe_f, x[None])[0][0]
                     - models.disc_forward_batch(probe_f, fake_row)[0][0]
                 )
 
-            numeric_nu = _fd_grad(disc_loss, models.nu_flatten(f))
+            numeric_nu = _fd_grad(disc_loss, f.nu)
             worst = max(worst, _rel_err(per_ex, numeric_nu))
     took = time.time() - t0
     assert worst <= 1e-5, f"max relative gradient error {worst:.3g}"
@@ -299,9 +299,9 @@ def test_criterion_07_two_step_pipeline():
                 assert np.all(sub.w_in[k] == 0.0)
                 assert sub.skip[k] == 0.0
 
-    before = models.theta_flatten(g)
+    before = g.theta.copy()
     models.prune(g, cfg.tau)
-    np.testing.assert_array_equal(before, models.theta_flatten(g))
+    np.testing.assert_array_equal(before, g.theta)
 
     q = cfg.batch / data.n
     eps1 = dp.epsilon_for(q, 1.3, 500, cfg.dp.delta)

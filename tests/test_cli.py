@@ -131,6 +131,23 @@ def test_train_usage_and_config_errors(tmp_path):
                    "--out", tmp_path / "x") == 3
 
 
+def test_config_values_of_the_wrong_type_are_usage_errors(tmp_path):
+    sim = simulate(tmp_path, d=3, n=60)
+    for i, wrong in enumerate(({"steps": "10"}, {"two_step": "no"})):
+        cfg = tmp_path / f"wrong{i}.json"
+        cfg.write_text(json.dumps(wrong))
+        assert run_cli("train", "--data", sim / "data.csv", "--config", cfg, "--batch", 20,
+                       "--sigma", 0, "--out", tmp_path / f"train{i}") == 2, wrong
+        assert run_cli("benchmark", "--sweep", "lambda", "--grid", "0.003", "--repeats", 1,
+                       "--d", 3, "--n", 60, "--batch", 20, "--config", cfg,
+                       "--out", tmp_path / f"bench{i}") == 2, wrong
+    # ints are floats, sigma may be null
+    ok = tmp_path / "ok.json"
+    ok.write_text(json.dumps({"lam": 0, "sigma": None, "two_step": False, "steps": 10}))
+    assert run_cli("train", "--data", sim / "data.csv", "--config", ok, "--batch", 20,
+                   "--out", tmp_path / "okrun") == 0
+
+
 def test_missing_data_file_is_ingestion_exit(tmp_path):
     assert run_cli("train", "--data", tmp_path / "nope.csv", "--out", tmp_path / "x") == 3
 
@@ -161,13 +178,29 @@ def test_generate_deterministic_and_inverse_transformed(tmp_path):
 def test_generate_zero_model_gives_constant_columns(tmp_path):
     g = models.new_generator(3, np.random.default_rng(0))
     f = models.new_discriminator(3, 0.5, np.random.default_rng(1))
-    models.theta_set(g, np.zeros(models.theta_size(g)))
+    g.theta[:] = 0.0
     ckpt = tmp_path / "zero.json"
     models.save_checkpoint(ckpt, g, f)
     out = tmp_path / "genzero"
     assert run_cli("generate", "--model", ckpt, "--n", 50, "--out", out) == 0
     synth = tabular.read_csv(out / "synthetic.csv")
     assert np.all(synth.values == synth.values[0])
+
+
+def test_generate_rejects_checkpoints_of_the_wrong_length(tmp_path):
+    g = models.new_generator(3, np.random.default_rng(0))
+    f = models.new_discriminator(3, 0.5, np.random.default_rng(1))
+    payload = models.checkpoint_dict(g, f)
+    bad = {
+        "short_mask": dict(payload, freeze_mask=payload["freeze_mask"][:-1]),
+        "empty_mask": dict(payload, freeze_mask=[]),
+        "short_theta": dict(payload, theta=payload["theta"][:-1]),
+        "long_nu": dict(payload, nu=payload["nu"] + [0.0]),
+    }
+    for name, broken in bad.items():
+        ckpt = tmp_path / f"{name}.json"
+        ckpt.write_text(json.dumps(broken))
+        assert run_cli("generate", "--model", ckpt, "--n", 5, "--out", tmp_path / name) == 2, name
 
 
 def test_generate_dimension_mismatch(tmp_path):

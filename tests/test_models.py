@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -80,7 +81,7 @@ def test_generator_sample_sequential_oracle():
     # column j depends on the sub-generators up to j only: the first j
     # sub-generators on their own reproduce the first j columns bit for bit
     for j in (1, 2):
-        prefix = models.SequentialGenerator(g.subs[:j])
+        prefix = models.SequentialGenerator(copy.deepcopy(g.subs[:j]))
         np.testing.assert_array_equal(models.sample_batch(prefix, Z[:, :j]), X[:, :j])
 
 
@@ -227,11 +228,11 @@ def test_generator_grad_matches_finite_differences():
     sched = models.PenaltySchedule(0.01, 0.5)
 
     def fn(theta):
-        models.theta_set(g, theta)
+        g.theta[:] = theta
         val = models.penalized_objective(f, g, X, Z, sched)
         return val, models.generator_grad(f, g, Z, sched)
 
-    assert nn.grad_check(fn, models.theta_flatten(g)) < 1e-6
+    assert nn.grad_check(fn, g.theta.copy()) < 1e-6
 
 
 def test_disc_per_example_grad_matches_finite_differences():
@@ -245,11 +246,11 @@ def test_disc_per_example_grad_matches_finite_differences():
     for i in range(4):
 
         def fn(nu):
-            models.nu_set(f, nu)
+            f.nu[:] = nu
             val = -(critic(f, X[i : i + 1])[0] - critic(f, fakes[i : i + 1])[0])
             return val, models.disc_loss_grads_batch(f, g, X, Z)[0][i]
 
-        assert nn.grad_check(fn, models.nu_flatten(f)) < 1e-6
+        assert nn.grad_check(fn, f.nu.copy()) < 1e-6
 
 
 def test_batch_disc_grads_match_per_example():
@@ -350,25 +351,57 @@ def test_theta_layout_documented_order():
         np.zeros(2, dtype=bool),
     )
     g = models.SequentialGenerator([s1, s2])
-    np.testing.assert_array_equal(models.theta_flatten(g), np.arange(1.0, 28.0))
-    assert models.theta_size(g) == 27
+    np.testing.assert_array_equal(g.theta, np.arange(1.0, 28.0))
+
+
+def gen_params(g):
+    return [a for s in g.subs for a in (s.w_in, s.skip, s.hidden.weight, s.hidden.bias, s.out.weight, s.out.bias)]
+
+
+def test_parameter_arrays_are_views_of_theta_and_nu(tmp_path):
+    rng = np.random.default_rng(89)
+    models.save_checkpoint(tmp_path / "m.json", models.random_generator(3, rng), models.new_discriminator(3, 0.5, rng))
+    g_loaded, f_loaded = models.load_checkpoint(tmp_path / "m.json")
+    generators = {
+        "new_generator": models.new_generator(3, rng),
+        "random_generator": models.random_generator(3, rng),
+        "hand-built": models.SequentialGenerator([zero_subgen(j) for j in (1, 2, 3)]),
+        "prune": models.prune(models.random_generator(3, rng), 0.3)[0],
+        "load_checkpoint": g_loaded,
+    }
+    Z = rng.standard_normal((4, 3))
+    for name, g in generators.items():
+        params = gen_params(g)
+        assert all(np.shares_memory(a, g.theta) for a in params), name
+        assert sum(a.size for a in params) == g.theta.size, name
+        before = models.sample_batch(g, Z)
+        g.theta += 0.5
+        assert not np.array_equal(models.sample_batch(g, Z), before), name
+    critics = {"new_discriminator": models.new_discriminator(3, 0.5, rng), "load_checkpoint": f_loaded}
+    X = rng.standard_normal((4, 3))
+    for name, f in critics.items():
+        params = [a for layer in f.layers for a in (layer.weight, layer.bias)]
+        assert all(np.shares_memory(a, f.nu) for a in params), name
+        assert sum(a.size for a in params) == f.nu.size, name
+        before = critic(f, X)
+        f.nu += 0.5
+        assert not np.array_equal(critic(f, X), before), name
 
 
 def test_theta_nu_round_trip():
     rng = np.random.default_rng(53)
     g = models.random_generator(3, rng)
     f = models.new_discriminator(3, 0.5, rng)
-    theta = models.theta_flatten(g)
-    fresh = rng.standard_normal(theta.size)
-    models.theta_set(g, fresh)
-    np.testing.assert_array_equal(models.theta_flatten(g), fresh)
-    nu = rng.standard_normal(models.nu_size(f))
-    models.nu_set(f, nu)
-    np.testing.assert_array_equal(models.nu_flatten(f), nu)
-    with pytest.raises(ShapeError):
-        models.theta_set(g, fresh[:-1])
-    with pytest.raises(ShapeError):
-        models.nu_set(f, nu[1:])
+    fresh = rng.standard_normal(g.theta.size)
+    nu = rng.standard_normal(f.nu.size)
+    payload = dict(models.checkpoint_dict(g, f), theta=fresh.tolist(), nu=nu.tolist())
+    g2, f2 = models.from_checkpoint_dict(payload)
+    np.testing.assert_array_equal(g2.theta, fresh)
+    np.testing.assert_array_equal(f2.nu, nu)
+    with pytest.raises(UsageError):
+        models.from_checkpoint_dict(dict(payload, theta=fresh[:-1].tolist()))
+    with pytest.raises(UsageError):
+        models.from_checkpoint_dict(dict(payload, nu=nu[1:].tolist()))
 
 
 def test_clip_weights_clamps_in_place():
@@ -416,7 +449,7 @@ def test_prune_is_idempotent_and_keeps_existing_freezes():
     g = models.random_generator(5, rng)
     once, m1 = models.prune(g, 0.3)
     twice, m2 = models.prune(once, 0.3)
-    np.testing.assert_array_equal(models.theta_flatten(once), models.theta_flatten(twice))
+    np.testing.assert_array_equal(once.theta, twice.theta)
     for a, b in zip(m1, m2):
         assert np.all(a <= b)  # freezes only ever accumulate
     with pytest.raises(UsageError):
@@ -431,8 +464,8 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     path = tmp_path / "model.json"
     models.save_checkpoint(path, g, f)
     g2, f2 = models.load_checkpoint(path)
-    np.testing.assert_array_equal(models.theta_flatten(g), models.theta_flatten(g2))
-    np.testing.assert_array_equal(models.nu_flatten(f), models.nu_flatten(f2))
+    np.testing.assert_array_equal(g.theta, g2.theta)
+    np.testing.assert_array_equal(f.nu, f2.nu)
     assert f2.clamp == 0.25
     for a, b in zip(g.subs, g2.subs):
         np.testing.assert_array_equal(a.frozen, b.frozen)

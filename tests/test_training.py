@@ -76,7 +76,7 @@ def test_no_generator_step_before_t_g():
     # the generator still has its untouched init: re-derive it from the same seed
     rng_init = training._streams(3)[0]
     g0 = models.new_generator(data.d, rng_init)
-    np.testing.assert_array_equal(models.theta_flatten(g), models.theta_flatten(g0))
+    np.testing.assert_array_equal(g.theta, g0.theta)
 
 
 def test_generator_update_count_is_floor_T_over_tg():
@@ -97,8 +97,8 @@ def test_run_is_deterministic():
         )
         g1, f1, r1 = training.train(data, cfg)
         g2, f2, r2 = training.train(data, cfg)
-        np.testing.assert_array_equal(models.theta_flatten(g1), models.theta_flatten(g2))
-        np.testing.assert_array_equal(models.nu_flatten(f1), models.nu_flatten(f2))
+        np.testing.assert_array_equal(g1.theta, g2.theta)
+        np.testing.assert_array_equal(f1.nu, f2.nu)
         assert r1.trace == r2.trace
 
 
@@ -228,10 +228,22 @@ def test_train_with_two_step_set_is_train_two_step():
     )
     g1, f1, rep1 = training.train(data, replace(cfg, two_step=True))
     g2, f2, rep2 = training.train_two_step(data, cfg)
-    np.testing.assert_array_equal(models.theta_flatten(g1), models.theta_flatten(g2))
-    np.testing.assert_array_equal(models.nu_flatten(f1), models.nu_flatten(f2))
+    np.testing.assert_array_equal(g1.theta, g2.theta)
+    np.testing.assert_array_equal(f1.nu, f2.nu)
     assert rep1.to_dict() == rep2.to_dict()
     assert rep1.steps == 40 and rep1.freeze_mask is not None
+
+
+def test_two_step_model_rebuilt_from_its_checkpoint_samples_identically():
+    # phase two updates the pruned model's theta; its parameter arrays must
+    # see those updates, or the checkpoint and the in-memory model part ways
+    data = small_data(seed=3, d=4, n=80)
+    cfg = training.TrainConfig(steps=20, batch=10, t_g=3, tau=0.12, seed=9)
+    g, f, report = training.train_two_step(data, cfg)
+    assert report.gen_updates == 12
+    g2, _ = models.from_checkpoint_dict(models.checkpoint_dict(g, f))
+    Z = np.random.default_rng(4).standard_normal((16, data.d))
+    np.testing.assert_array_equal(models.sample_batch(g2, Z), models.sample_batch(g, Z))
 
 
 def test_two_step_ledger_covers_both_phases():
