@@ -10,7 +10,7 @@ the pair count). Jensen-Shannon is summed over columns in natural log.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -266,28 +266,16 @@ def mlp_fit_predict(
     Xs = (X_train - xm) / xs
     yn = (y_train - ym) / ys
     rng = np.random.default_rng(seed)
-    l1 = nn.init_dense(hidden, Xs.shape[1], rng, activation=nn.LEAKY_RELU)
-    l2 = nn.init_dense(1, hidden, rng)
+    layers = (nn.init_dense(hidden, Xs.shape[1], rng, activation=nn.LEAKY_RELU), nn.init_dense(1, hidden, rng))
+    params = nn.gather([(layer, ("weight", "bias")) for layer in layers])
     n = Xs.shape[0]
     for _ in range(iters):
-        pre1 = Xs @ l1.weight.T + l1.bias
-        h = nn.leaky_relu(pre1, l1.slope)
-        pred = h @ l2.weight[0] + l2.bias[0]
-        err = (pred - yn) / n
-        dw2 = err @ h
-        db2 = err.sum()
-        dh = np.outer(err, l2.weight[0]) * nn.leaky_relu_grad(pre1, l1.slope)
-        dw1 = dh.T @ Xs
-        db1 = dh.sum(axis=0)
-        l2.weight[0] -= lr * dw2
-        l2.bias[0] -= lr * db2
-        l1.weight -= lr * dw1
-        l1.bias -= lr * db1
-    if not (np.all(np.isfinite(l1.weight)) and np.all(np.isfinite(l2.weight))):
+        pred, caches = nn.forward(layers, Xs)
+        params -= lr * nn.backward(layers, caches, (pred - yn[:, None]) / n)[1]
+    if not np.all(np.isfinite(params)):
         raise MetricError("downstream regressor diverged")
     Xt = (np.asarray(X_test, dtype=np.float64) - xm) / xs
-    h = nn.leaky_relu(Xt @ l1.weight.T + l1.bias, l1.slope)
-    return (h @ l2.weight[0] + l2.bias[0]) * ys + ym
+    return nn.forward(layers, Xt)[0][:, 0] * ys + ym
 
 
 def downstream_efficacy(train: Table, test: Table, target: str, model: str = "ridge", seed: int = 0) -> dict:
@@ -329,16 +317,7 @@ class MetricReport:
     meta: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "wd": self.wd,
-            "tvd_2way": self.tvd_2way,
-            "tvd_2way_sum": self.tvd_2way_sum,
-            "tvd_1way": self.tvd_1way,
-            "mmd": self.mmd,
-            "js": self.js,
-            "downstream": self.downstream,
-            "meta": self.meta,
-        }
+        return asdict(self)
 
 
 def metric_report(

@@ -12,6 +12,11 @@ Group lasso drives input selection. The group for input k is the whole
 dependence of a column on that input, the pair ``(w_in[k], skip[k])``, so
 neither path can carry a dependence without paying for it; the noise slot
 is never penalized.
+
+Every dense stack here (each sub-generator's ``(hidden, out)`` pair and the
+critic's layers) runs through ``nn.forward`` and ``nn.backward``, and each
+network's parameters live in one ``nn.gather`` buffer; this module adds the
+sub-generators' input map and skip path around those passes.
 """
 
 from __future__ import annotations
@@ -76,27 +81,14 @@ class SubGenerator:
         return self.w_in.shape[1]
 
 
-def _gather(groups) -> np.ndarray:
-    """Copy the named arrays of each ``(owner, names)`` group into one new
-    flat buffer, in order, and rebind each name to its view of the buffer."""
-    slots = [(owner, name) for owner, names in groups for name in names]
-    flat = np.empty(sum(getattr(owner, name).size for owner, name in slots))
-    pos = 0
-    for owner, name in slots:
-        arr = getattr(owner, name)
-        flat[pos : pos + arr.size] = arr.ravel()
-        setattr(owner, name, flat[pos : pos + arr.size].reshape(arr.shape))
-        pos += arr.size
-    return flat
-
-
 @dataclass
 class SequentialGenerator:
     """Sub-generators in column order.
 
     ``theta`` is the storage, per sub-generator in order: ``w_in`` row-major,
     ``skip``, hidden weight row-major, hidden bias, output weight, output
-    bias; the sub-generators' arrays are views into it. Building a generator
+    bias (the last four are ``nn.backward``'s layout for ``(hidden, out)``);
+    the sub-generators' arrays are views into it. Building a generator
     re-homes them, so a sub-generator belongs to one generator at a time.
     """
 
@@ -108,7 +100,7 @@ class SequentialGenerator:
             if s.index != pos:
                 raise ShapeError(f"sub-generator at position {pos} has index {s.index}")
         dense = ("weight", "bias")
-        self.theta = _gather(
+        self.theta = nn.gather(
             [grp for s in self.subs for grp in ((s, ("w_in", "skip")), (s.hidden, dense), (s.out, dense))]
         )
 
@@ -121,8 +113,9 @@ class SequentialGenerator:
 class Discriminator:
     """Small dense critic; weights are clamped to [-clamp, clamp] between steps.
 
-    ``nu`` is the storage: layer by layer, weight row-major, then bias; the
-    layers' arrays are views into it. Building a critic re-homes them.
+    ``nu`` is the storage: layer by layer, weight row-major, then bias, the
+    layout ``nn.backward`` returns; the layers' arrays are views into it.
+    Building a critic re-homes them.
     """
 
     layers: list
@@ -134,7 +127,7 @@ class Discriminator:
             raise UsageError(f"clamp must be positive, got {self.clamp}")
         if not self.layers or self.layers[-1].out_dim != 1:
             raise ShapeError("discriminator must end in a scalar layer")
-        self.nu = _gather([(layer, ("weight", "bias")) for layer in self.layers])
+        self.nu = nn.gather([(layer, ("weight", "bias")) for layer in self.layers])
 
     @property
     def in_dim(self) -> int:
@@ -250,12 +243,9 @@ def _generator_forward_cached(g: SequentialGenerator, Zb: np.ndarray):
     caches = []
     for jj, s in enumerate(g.subs):
         U = np.concatenate([X[:, :jj], Zb[:, jj : jj + 1]], axis=1)
-        feat = U @ s.w_in
-        hpre = feat @ s.hidden.weight.T + s.hidden.bias
-        h = nn.leaky_relu(hpre, s.hidden.slope) if s.hidden.activation == LEAKY_RELU else hpre
-        y = h @ s.out.weight[0] + s.out.bias[0]
-        X[:, jj] = U @ s.skip + y
-        caches.append((U, feat, hpre, h))
+        y, layer_caches = nn.forward((s.hidden, s.out), U @ s.w_in)
+        X[:, jj] = U @ s.skip + y[:, 0]
+        caches.append((U, layer_caches))
     return X, caches
 
 
@@ -264,42 +254,19 @@ def disc_forward_batch(f: Discriminator, Xb: np.ndarray):
     Xb = np.asarray(Xb, dtype=np.float64)
     if Xb.ndim != 2 or Xb.shape[1] != f.in_dim:
         raise ShapeError(f"batch shape {Xb.shape}, expected (B, {f.in_dim})")
-    h = Xb
-    caches = []
-    for layer in f.layers:
-        pre = h @ layer.weight.T + layer.bias
-        caches.append((h, pre))
-        h = nn.leaky_relu(pre, layer.slope) if layer.activation == LEAKY_RELU else pre
-    return h[:, 0], caches
-
-
-def _disc_input_grad(f: Discriminator, caches) -> np.ndarray:
-    """d(critic)/d(input) for every row of the cached batch."""
-    B = caches[0][0].shape[0]
-    delta = np.ones((B, 1))
-    for layer, (_, pre) in zip(reversed(f.layers), reversed(caches)):
-        delta = delta * nn.act_grad(layer, pre)
-        delta = delta @ layer.weight
-    return delta
-
-
-def _disc_per_example_param_grads(f: Discriminator, caches, sign: float) -> np.ndarray:
-    """Per-example gradients of sign * critic(x) in flat parameter layout, (B, P)."""
-    B = caches[0][0].shape[0]
-    delta = np.full((B, 1), float(sign))
-    pieces = [None] * len(f.layers)
-    for li in range(len(f.layers) - 1, -1, -1):
-        layer = f.layers[li]
-        xin, pre = caches[li]
-        dpre = delta * nn.act_grad(layer, pre)
-        dw = np.einsum("bo,bi->boi", dpre, xin).reshape(B, -1)
-        pieces[li] = np.concatenate([dw, dpre], axis=1)
-        delta = dpre @ layer.weight
-    return np.concatenate(pieces, axis=1)
+    out, caches = nn.forward(f.layers, Xb)
+    return out[:, 0], caches
 
 
 # ---------------------------------------------------------------------------
 # group lasso
+
+
+def _prefix_row_norms(W: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of a 2-D ``W``, all but the last (noise) row."""
+    if W.ndim != 2:
+        raise ShapeError(f"W must be 2-D, got ndim={W.ndim}")
+    return np.sqrt((W[:-1] ** 2).sum(axis=1))
 
 
 def group_lasso(W: np.ndarray) -> float:
@@ -308,24 +275,16 @@ def group_lasso(W: np.ndarray) -> float:
     The generator penalty applies it to ``np.column_stack([w_in, skip])``, so
     row k is the whole dependence on input k.
     """
-    W = np.asarray(W, dtype=np.float64)
-    if W.ndim != 2:
-        raise ShapeError(f"W must be 2-D, got ndim={W.ndim}")
-    if W.shape[0] == 1:
-        return 0.0
-    return float(np.sqrt((W[:-1] ** 2).sum(axis=1)).sum())
+    return float(_prefix_row_norms(np.asarray(W, dtype=np.float64)).sum())
 
 
 def group_lasso_subgrad(W: np.ndarray) -> np.ndarray:
     """Row-normalized subgradient; exact-zero rows map to zero rows."""
     W = np.asarray(W, dtype=np.float64)
-    if W.ndim != 2:
-        raise ShapeError(f"W must be 2-D, got ndim={W.ndim}")
+    norms = _prefix_row_norms(W)
     sub = np.zeros_like(W)
-    for k in range(W.shape[0] - 1):
-        norm = float(np.sqrt((W[k] ** 2).sum()))
-        if norm > 0.0:
-            sub[k] = W[k] / norm
+    live = norms > 0.0
+    sub[:-1][live] = W[:-1][live] / norms[live, None]
     return sub
 
 
@@ -363,9 +322,12 @@ def generator_grad(
     sched: PenaltySchedule,
 ) -> np.ndarray:
     """Flat gradient of [-mean critic(fakes) + group-lasso penalty] over all
-    generator parameters, in ``g.theta`` order. The penalty group for
-    input k is ``(w_in[k], skip[k])``, so its subgradient reaches both.
-    Frozen input slots receive exactly zero gradient.
+    generator parameters, in ``g.theta`` order. The critic's input gradient
+    is backpropagated column by column, last column first, through each
+    sub-generator's ``(hidden, out)`` stack and its input map and skip path.
+    The penalty group for input k is ``(w_in[k], skip[k])``, so its
+    subgradient reaches both. Frozen input slots receive exactly zero
+    gradient.
     """
     Z_batch = np.asarray(Z_batch, dtype=np.float64)
     if Z_batch.size == 0:
@@ -373,21 +335,15 @@ def generator_grad(
     X, caches = _generator_forward_cached(g, Z_batch)
     B = X.shape[0]
     _, dcaches = disc_forward_batch(f, X)
-    dX = -_disc_input_grad(f, dcaches) / B
+    dX = -nn.backward(f.layers, dcaches, np.ones((B, 1)))[0] / B
     lam = sched.values(g.d)
 
     pieces = [None] * g.d
     for jj in range(g.d - 1, -1, -1):
         s = g.subs[jj]
-        U, feat, hpre, h = caches[jj]
+        U, layer_caches = caches[jj]
         xbar = dX[:, jj]
-        dc = xbar @ h
-        dbo = xbar.sum()
-        dh = np.outer(xbar, s.out.weight[0])
-        dhpre = dh * nn.act_grad(s.hidden, hpre)
-        dA = dhpre.T @ feat
-        dbh = dhpre.sum(axis=0)
-        dfeat = dhpre @ s.hidden.weight
+        dfeat, dtail = nn.backward((s.hidden, s.out), layer_caches, xbar[:, None])
         dW = U.T @ dfeat
         dskip = xbar @ U
         du = np.outer(xbar, s.skip) + dfeat @ s.w_in.T
@@ -398,9 +354,7 @@ def generator_grad(
         dskip += sub[:, -1]
         dW[s.frozen] = 0.0
         dskip[s.frozen] = 0.0
-        pieces[jj] = np.concatenate(
-            [dW.ravel(), dskip, dA.ravel(), dbh, dc.ravel(), np.array([dbo])]
-        )
+        pieces[jj] = np.concatenate([dW.ravel(), dskip, dtail])
     return np.concatenate(pieces)
 
 
@@ -408,8 +362,9 @@ def disc_loss_grads_batch(f: Discriminator, g: SequentialGenerator, X_real: np.n
     """Per-example critic-loss gradients for a paired batch.
 
     Returns ``(grads, f_real, f_fake)`` where ``grads[i]`` is the gradient of
-    ``-(critic(X_real[i]) - critic(fake_i))`` and the critic values are handed
-    back so the caller does not need a second pass over the private rows.
+    ``-(critic(X_real[i]) - critic(fake_i))``, in ``f.nu`` order, from two
+    per-example ``nn.backward`` passes, and the critic values are handed back
+    so the caller does not need a second pass over the private rows.
     """
     X_real = np.asarray(X_real, dtype=np.float64)
     Z_batch = np.asarray(Z_batch, dtype=np.float64)
@@ -418,9 +373,10 @@ def disc_loss_grads_batch(f: Discriminator, g: SequentialGenerator, X_real: np.n
     fakes = sample_batch(g, Z_batch)
     f_real, real_caches = disc_forward_batch(f, X_real)
     f_fake, fake_caches = disc_forward_batch(f, fakes)
-    grads = _disc_per_example_param_grads(f, fake_caches, +1.0) + _disc_per_example_param_grads(
-        f, real_caches, -1.0
-    )
+    ones = np.ones((len(fakes), 1))
+    grads = nn.backward(f.layers, fake_caches, ones, per_example=True)[1] + nn.backward(
+        f.layers, real_caches, -ones, per_example=True
+    )[1]
     return grads, f_real, f_fake
 
 
@@ -436,7 +392,7 @@ def clip_weights(f: Discriminator) -> Discriminator:
 
 def row_norms(g: SequentialGenerator) -> list:
     """Per-column prefix-row norms: entry jj has length jj (one per earlier column)."""
-    return [np.sqrt((s.w_in[:-1] ** 2).sum(axis=1)) for s in g.subs]
+    return [_prefix_row_norms(s.w_in) for s in g.subs]
 
 
 def prune(g: SequentialGenerator, tau: float):
@@ -487,6 +443,9 @@ def save_checkpoint(path, g: SequentialGenerator, f: Discriminator) -> None:
 
 
 def from_checkpoint_dict(payload: dict):
+    """Rebuild (generator, discriminator) from a checkpoint payload. A missing
+    field, a value of the wrong type, a wrong size or a non-finite parameter
+    raises ``UsageError``."""
     try:
         if payload["format"] != CHECKPOINT_FORMAT:
             raise UsageError(f"unrecognized checkpoint format {payload.get('format')!r}")
@@ -496,9 +455,11 @@ def from_checkpoint_dict(payload: dict):
         disc_widths = [int(w) for w in payload["disc_widths"]]
         theta = np.asarray(payload["theta"], dtype=np.float64)
         nu = np.asarray(payload["nu"], dtype=np.float64)
-        mask = payload["freeze_mask"]
+        mask = [np.asarray(m, dtype=bool) for m in payload["freeze_mask"]]
     except KeyError as missing:
         raise UsageError(f"checkpoint is missing field {missing}") from None
+    except (TypeError, ValueError) as err:
+        raise UsageError(f"checkpoint field has the wrong type: {err}") from None
     g = new_generator(d, np.random.default_rng(0), width)
     fans = [d] + disc_widths + [1]
     acts = [LEAKY_RELU] * len(disc_widths) + [IDENTITY]
@@ -506,12 +467,14 @@ def from_checkpoint_dict(payload: dict):
     f = Discriminator(layers, clamp)
     if theta.shape != g.theta.shape or nu.shape != f.nu.shape:
         raise UsageError(f"checkpoint theta/nu sizes {theta.size}/{nu.size}, expected {g.theta.size}/{f.nu.size}")
-    if not isinstance(mask, list) or len(mask) != d:
+    if not (np.isfinite(theta).all() and np.isfinite(nu).all()):
+        raise UsageError("checkpoint theta/nu hold non-finite values")
+    if len(mask) != d:
         raise UsageError(f"freeze mask needs one entry per column ({d})")
     g.theta[:] = theta
     f.nu[:] = nu
     for s, m in zip(g.subs, mask):
-        s.frozen = np.asarray(m, dtype=bool)
+        s.frozen = m
         if s.frozen.shape != (s.index,):
             raise UsageError(f"freeze mask for column {s.index} has wrong length")
         s.w_in[s.frozen] = 0.0

@@ -1,8 +1,11 @@
 """Minimal dense-network core: float64 layers, activations and their
-derivatives, and a finite-difference gradient check.
+derivatives, batched forward and backward passes through a stack of layers,
+the flat parameter store, and a finite-difference gradient check.
 
-The forward and backward passes over whole batches live in ``models``.
-Weights are (out, in) matrices, biases are (out,) vectors.
+Every network in the package (each sub-generator's hidden and output layers,
+the critic, the downstream regressor) runs through ``forward`` and
+``backward``. Weights are (out, in) matrices, biases are (out,) vectors; row
+i of every batch array is one example.
 """
 
 from __future__ import annotations
@@ -75,11 +78,49 @@ def init_dense(
     return DenseLayer(weight, np.zeros(n_out), activation, slope)
 
 
-def act_grad(layer: DenseLayer, pre: np.ndarray) -> np.ndarray:
-    """Activation derivative evaluated at the cached pre-activation."""
-    if layer.activation == LEAKY_RELU:
-        return leaky_relu_grad(pre, layer.slope)
-    return np.ones_like(pre)
+def gather(groups) -> np.ndarray:
+    """Copy the named arrays of each ``(owner, names)`` group into one new
+    flat buffer, in order, and rebind each name to its view of the buffer."""
+    slots = [(owner, name) for owner, names in groups for name in names]
+    flat = np.empty(sum(getattr(owner, name).size for owner, name in slots))
+    pos = 0
+    for owner, name in slots:
+        arr = getattr(owner, name)
+        flat[pos : pos + arr.size] = arr.ravel()
+        setattr(owner, name, flat[pos : pos + arr.size].reshape(arr.shape))
+        pos += arr.size
+    return flat
+
+
+def forward(layers, X: np.ndarray):
+    """Run a (B, in) batch through the stack; returns the (B, out) output and
+    one ``(input, pre-activation)`` cache per layer for ``backward``."""
+    caches = []
+    for layer in layers:
+        pre = X @ layer.weight.T + layer.bias
+        caches.append((X, pre))
+        X = leaky_relu(pre, layer.slope) if layer.activation == LEAKY_RELU else pre
+    return X, caches
+
+
+def backward(layers, caches, delta: np.ndarray, per_example: bool = False):
+    """Backpropagate ``delta``, the (B, out) gradient at the stack's output.
+
+    Returns the (B, in) gradient at the input and the parameter gradients in
+    the stack's flat layout (per layer: weight row-major, then bias), summed
+    over the batch as a (P,) vector, or one row per example as (B, P) with
+    ``per_example``.
+    """
+    pieces = []  # bias then weight, last layer first: one flip restores the layout
+    for layer, (xin, pre) in zip(reversed(layers), reversed(caches)):
+        if layer.activation == LEAKY_RELU:
+            delta = delta * leaky_relu_grad(pre, layer.slope)
+        if per_example:
+            pieces += [delta, np.einsum("bo,bi->boi", delta, xin).reshape(len(delta), -1)]
+        else:
+            pieces += [delta.sum(axis=0), (delta.T @ xin).ravel()]
+        delta = delta @ layer.weight
+    return delta, np.concatenate(pieces[::-1], axis=-1)
 
 
 def grad_check(f, params: np.ndarray, eps: float = 1e-6) -> float:

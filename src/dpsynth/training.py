@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -92,28 +92,14 @@ class TrainReport:
     wall_clock: float
 
     def to_dict(self) -> dict:
-        def enc(v):
-            return None if v is None or not math.isfinite(v) else v
-
-        return {
-            "seed": self.seed,
-            "steps": self.steps,
-            "gen_updates": self.gen_updates,
-            "batch": self.batch,
-            "t_g": self.t_g,
-            "sigma": self.sigma,
-            "sample_rate": self.sample_rate,
-            "clip_norm": self.clip_norm,
-            "delta": self.delta,
-            "epsilon": enc(self.epsilon),
-            "epsilon_phase1": enc(self.epsilon_phase1),
-            "non_private": self.non_private,
-            "trace": self.trace,
-            "row_norm_table": self.row_norm_table,
-            "freeze_mask": self.freeze_mask,
-            # wall_clock stays off the dict: serialized reports are part of the
-            # byte-reproducibility contract; timing lives in the run manifest
-        }
+        # wall_clock stays off the dict: serialized reports are part of the
+        # byte-reproducibility contract; timing lives in the run manifest
+        out = asdict(self)
+        del out["wall_clock"]
+        for key in ("epsilon", "epsilon_phase1"):
+            if out[key] is not None and not math.isfinite(out[key]):
+                out[key] = None
+        return out
 
 
 def _streams(seed: int):

@@ -196,6 +196,12 @@ def test_generate_rejects_checkpoints_of_the_wrong_length(tmp_path):
         "empty_mask": dict(payload, freeze_mask=[]),
         "short_theta": dict(payload, theta=payload["theta"][:-1]),
         "long_nu": dict(payload, nu=payload["nu"] + [0.0]),
+        "string_d": dict(payload, d="three"),
+        "string_in_theta": dict(payload, theta=["x"] + payload["theta"][1:]),
+        "ragged_mask": dict(payload, freeze_mask=[[False], [False, False], [[False], False, False]]),
+        "nan_in_theta": dict(payload, theta=[math.nan] + payload["theta"][1:]),
+        "inf_in_nu": dict(payload, nu=payload["nu"][:-1] + [math.inf]),
+        "top_level_list": [payload],
     }
     for name, broken in bad.items():
         ckpt = tmp_path / f"{name}.json"

@@ -27,6 +27,51 @@ def test_init_dense_bounds_and_zero_bias():
     assert layer.weight.shape == (7, 4)
 
 
+def _stack(rng):
+    """Three layers, both activations, a two-wide output; parameters in one buffer."""
+    layers = [
+        nn.init_dense(4, 3, rng, activation=nn.LEAKY_RELU),
+        nn.init_dense(5, 4, rng, activation=nn.LEAKY_RELU, slope=0.1),
+        nn.init_dense(2, 5, rng),
+    ]
+    for layer in layers:
+        layer.bias[:] = rng.normal(size=layer.bias.shape)
+    return layers, nn.gather([(layer, ("weight", "bias")) for layer in layers])
+
+
+def test_backward_per_example_rows_sum_to_the_summed_gradient():
+    rng = np.random.default_rng(0)
+    layers, params = _stack(rng)
+    X = rng.normal(size=(6, 3))
+    out, caches = nn.forward(layers, X)
+    assert out.shape == (6, 2)
+    delta = rng.normal(size=out.shape)
+    d_in, summed = nn.backward(layers, caches, delta)
+    d_in_rows, rows = nn.backward(layers, caches, delta, per_example=True)
+    assert summed.shape == params.shape and rows.shape == (6, params.size)
+    np.testing.assert_allclose(rows.sum(axis=0), summed, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(d_in_rows, d_in)
+
+
+def test_backward_matches_finite_differences():
+    rng = np.random.default_rng(1)
+    layers, params = _stack(rng)
+    X = rng.normal(size=(6, 3))
+    c = rng.normal(size=(6, 2))
+
+    def through_params(p):
+        params[:] = p
+        out, caches = nn.forward(layers, X)
+        return float((c * out).sum()), nn.backward(layers, caches, c)[1]
+
+    def through_input(x):
+        out, caches = nn.forward(layers, x.reshape(X.shape))
+        return float((c * out).sum()), nn.backward(layers, caches, c)[0].ravel()
+
+    assert nn.grad_check(through_params, params.copy()) < 1e-6
+    assert nn.grad_check(through_input, X.ravel()) < 1e-6
+
+
 def test_grad_check_accepts_correct_gradient():
     def f(p):
         return float(p[0] ** 2), np.array([2.0 * p[0]])
