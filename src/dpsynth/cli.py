@@ -162,9 +162,10 @@ def cmd_train(args) -> int:
     out = _out_dir(args)
 
     if target_epsilon is not None:
+        # two-step training runs cfg.steps per phase, and the ledger composes both
         q = cfg.batch / data.n
         sigma = dp.calibrate_sigma(
-            dp.PrivacySpec(target_epsilon, cfg.dp.delta), q, cfg.steps
+            dp.PrivacySpec(target_epsilon, cfg.dp.delta), q, cfg.steps * (2 if cfg.two_step else 1)
         )
         cfg = replace(cfg, dp=replace(cfg.dp, noise_multiplier=sigma))
 

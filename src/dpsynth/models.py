@@ -460,13 +460,20 @@ def from_checkpoint_dict(payload: dict):
         raise UsageError(f"checkpoint is missing field {missing}") from None
     except (TypeError, ValueError) as err:
         raise UsageError(f"checkpoint field has the wrong type: {err}") from None
-    g = new_generator(d, np.random.default_rng(0), width)
+    if min([d, width, *disc_widths]) < 1:
+        raise UsageError(f"checkpoint d, hidden_width and disc_widths must be >= 1, got {d}, {width}, {disc_widths}")
+    # Sizes are checked in closed form before anything is built, so a small
+    # file cannot ask for a large model: sub-generator j holds (w + 1) * j
+    # input-map and skip entries plus (w + 1) ** 2 in its dense pair.
     fans = [d] + disc_widths + [1]
+    theta_size = (width + 1) * (d * (d + 1) // 2 + d * (width + 1))
+    nu_size = sum(o * (i + 1) for i, o in zip(fans, fans[1:]))
+    if theta.shape != (theta_size,) or nu.shape != (nu_size,):
+        raise UsageError(f"checkpoint theta/nu sizes {theta.size}/{nu.size}, expected {theta_size}/{nu_size}")
+    g = new_generator(d, np.random.default_rng(0), width)
     acts = [LEAKY_RELU] * len(disc_widths) + [IDENTITY]
     layers = [DenseLayer(np.zeros((o, i)), np.zeros(o), a) for i, o, a in zip(fans, fans[1:], acts)]
     f = Discriminator(layers, clamp)
-    if theta.shape != g.theta.shape or nu.shape != f.nu.shape:
-        raise UsageError(f"checkpoint theta/nu sizes {theta.size}/{nu.size}, expected {g.theta.size}/{f.nu.size}")
     if not (np.isfinite(theta).all() and np.isfinite(nu).all()):
         raise UsageError("checkpoint theta/nu hold non-finite values")
     if len(mask) != d:

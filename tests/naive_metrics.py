@@ -126,3 +126,29 @@ def naive_mmd(A, B, h):
     yy = sum(k(B[i], B[j]) for i in range(m) for j in range(m) if i != j) / (m * (m - 1))
     xy = sum(k(A[i], B[j]) for i in range(n) for j in range(m)) / (n * m)
     return max(0.0, xx + yy - 2.0 * xy)
+
+
+# The dense formulas the library used before it tiled its pairwise metrics:
+# every pairwise distance at once, in (n, m, d) difference tensors.
+
+
+def dense_median_bandwidth(A, B):
+    pool = np.vstack([np.asarray(A, float), np.asarray(B, float)])
+    sq = ((pool[:, None, :] - pool[None, :, :]) ** 2).sum(axis=2)
+    iu = np.triu_indices(pool.shape[0], k=1)
+    return float(np.median(np.sqrt(sq[iu])))
+
+
+def dense_mmd(A, B, h):
+    A, B = np.asarray(A, float), np.asarray(B, float)
+    n, m = A.shape[0], B.shape[0]
+    gamma = 1.0 / (2.0 * h * h)
+
+    def gram(X, Y):
+        sq = ((X[:, None, :] - Y[None, :, :]) ** 2).sum(axis=2)
+        return np.exp(-gamma * sq)
+
+    kxx, kyy, kxy = gram(A, A), gram(B, B), gram(A, B)
+    term_x = (kxx.sum() - np.trace(kxx)) / (n * (n - 1))
+    term_y = (kyy.sum() - np.trace(kyy)) / (m * (m - 1))
+    return float(max(0.0, term_x + term_y - 2.0 * kxy.mean()))

@@ -1,10 +1,18 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dpsynth import cli, dp, models, semdata, tabular
+from dpsynth.errors import UsageError
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(*argv):
@@ -99,6 +107,19 @@ def test_train_epsilon_calibration_self_consistent(tmp_path, capsys):
     assert report["epsilon"] <= 1.0 + 1e-3
     assert report["epsilon"] > 0.9  # lands inside the calibration band, not far below
     assert "epsilon" in capsys.readouterr().out
+
+
+def test_train_two_step_epsilon_is_calibrated_for_both_phases(tmp_path):
+    sim = simulate(tmp_path)
+    out = tmp_path / "twostep"
+    rc = run_cli("train", "--data", sim / "data.csv", "--steps", 30, "--batch", 20, "--two-step",
+                 "--epsilon", 3.0, "--delta", 1e-5, "--seed", 0, "--out", out)
+    assert rc == 0
+    report = json.loads((out / "report.json").read_text())
+    sigma = json.loads((out / "manifest.json").read_text())["config"]["sigma"]
+    assert report["steps"] == 60  # the ledger composes both phases
+    assert 3.0 * (1 - 1e-3) <= report["epsilon"] <= 3.0
+    assert report["epsilon"] == dp.account_report(120, 20, sigma, 60, 1e-5)["epsilon"]
 
 
 def test_train_flag_overrides_config_file(tmp_path):
@@ -209,6 +230,23 @@ def test_generate_rejects_checkpoints_of_the_wrong_length(tmp_path):
         assert run_cli("generate", "--model", ckpt, "--n", 5, "--out", tmp_path / name) == 2, name
 
 
+def test_checkpoint_sizes_are_checked_before_the_model_is_built(tmp_path):
+    g = models.new_generator(3, np.random.default_rng(0))
+    f = models.new_discriminator(3, 0.5, np.random.default_rng(1))
+    ckpt = tmp_path / "huge_d.json"
+    ckpt.write_text(json.dumps(dict(models.checkpoint_dict(g, f), d=1500)))
+    assert ckpt.stat().st_size < 10_000
+    assert run_cli("generate", "--model", ckpt, "--n", 5, "--out", tmp_path / "x") == 2
+    tracemalloc.start()
+    try:
+        with pytest.raises(UsageError):
+            models.load_checkpoint(ckpt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6  # building the d = 1500 generator first reached 210 MB
+
+
 def test_generate_dimension_mismatch(tmp_path):
     sim = simulate(tmp_path)
     run = train(tmp_path, sim)
@@ -232,6 +270,30 @@ def test_evaluate_identical_files_score_zero(tmp_path):
     assert report["tvd_2way"] == 0.0
     assert report["js"] == 0.0
     assert report["downstream"] == []
+
+
+def test_evaluate_runs_in_bounded_memory(tmp_path):
+    # 3,000 + 3,000 rows x 10: the dense pairwise tensors needed about 2.9 GB
+    rng = np.random.default_rng(31)
+    names = tuple(f"x{j + 1}" for j in range(10))
+    for name, shift in (("synthetic", 0.1), ("test", 0.0)):
+        table = tabular.Table(names, rng.standard_normal((3000, 10)) + shift)
+        tabular.write_csv(table, tmp_path / f"{name}.csv")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    argv = ["evaluate", "--synthetic", tmp_path / "synthetic.csv", "--test", tmp_path / "test.csv",
+            "--target", "x10", "--out", tmp_path / "eval"]
+    # the child reports its own peak RSS (kilobytes on Linux), unmixed with
+    # any other child of the test process
+    code = (
+        "import resource, sys; from dpsynth.cli import main; rc = main(sys.argv[1:]); "
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss); sys.exit(rc)"
+    )
+    done = subprocess.run([sys.executable, "-c", code, *map(str, argv)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert int(done.stdout.split()[-1]) < 400 * 1024
+    assert json.loads((tmp_path / "eval" / "metrics.json").read_text())["mmd"] >= 0.0
 
 
 def test_evaluate_with_target_and_mismatch(tmp_path):

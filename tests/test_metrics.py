@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -152,6 +153,85 @@ def test_all_metrics_match_naive_oracles():
         lib_grid = metrics.fit_grid(B, bins)
         np.testing.assert_allclose(lib_grid.lo, lo, rtol=0, atol=1e-15)
         np.testing.assert_allclose(lib_grid.hi, hi, rtol=0, atol=1e-15)
+
+
+# The pairwise metrics work tile by tile; the dense formulas they replaced
+# are the oracles. Small tiles and a small _GATHER_MAX force column tiling
+# and the counting passes of the exact selection (and, with ties, its
+# refinement) at test sizes.
+
+
+def _diagonal_tiles(A, B):
+    pool = np.vstack([A, B])
+    return sum(1 for _ in metrics._sq_dist_tiles(pool, pool, upper=True))
+
+
+@pytest.mark.parametrize("small", [False, True], ids=["default", "small"])
+@pytest.mark.parametrize("d", [1, 3, 12])
+@pytest.mark.parametrize("n_a", [700, 702])
+def test_tiled_median_and_mmd_match_dense_formulas(n_a, d, small, monkeypatch):
+    if small:
+        monkeypatch.setattr(metrics, "_TILE_COLS", 100)
+        monkeypatch.setattr(metrics, "_GATHER_MAX", 500)
+    rng = np.random.default_rng(100 + d)
+    A = rng.standard_normal((n_a, d))
+    B = 1.5 * rng.standard_normal((300, d)) + 0.2
+    pairs = (n_a + 300) * (n_a + 299) // 2
+    assert pairs % 2 == (n_a == 702)  # both parities of the pair count
+    assert _diagonal_tiles(A, B) >= 2
+    h = metrics.median_bandwidth(A, B)
+    assert h == nm.dense_median_bandwidth(A, B)
+    assert abs(metrics.mmd(A, B, h) - nm.dense_mmd(A, B, h)) <= 1e-12
+    assert abs(metrics.mmd(A, B) - nm.dense_mmd(A, B, h)) <= 1e-12
+
+
+def _binary(rng):
+    return (rng.random((400, 4)) < 0.5) * 1.0, (rng.random((300, 4)) < 0.3) * 1.0
+
+
+def _duplicate_rows(rng):
+    rows = rng.standard_normal((6, 3))
+    return rows[rng.integers(0, 6, 400)], rows[rng.integers(0, 4, 300)] + [0.0, 0.0, 1e-9]
+
+
+@pytest.mark.parametrize("gather_max", [None, 1, 100])
+@pytest.mark.parametrize("make", [_binary, _duplicate_rows], ids=["binary", "duplicate_rows"])
+def test_tiled_median_is_exact_on_ties(make, gather_max, monkeypatch):
+    if gather_max is not None:
+        monkeypatch.setattr(metrics, "_GATHER_MAX", gather_max)
+    A, B = make(np.random.default_rng(21))
+    assert _diagonal_tiles(A, B) >= 1
+    h = metrics.median_bandwidth(A, B)
+    assert h == nm.dense_median_bandwidth(A, B)
+    assert abs(metrics.mmd(A, B, h) - nm.dense_mmd(A, B, h)) <= 1e-12
+
+
+@pytest.mark.parametrize("gather_max", [None, 1, 100])
+def test_tiled_median_of_zero_still_raises(gather_max, monkeypatch):
+    if gather_max is not None:
+        monkeypatch.setattr(metrics, "_GATHER_MAX", gather_max)
+    rng = np.random.default_rng(22)
+    A = np.vstack([np.ones((600, 3)), rng.standard_normal((100, 3))])
+    B = np.vstack([np.ones((250, 3)), rng.standard_normal((50, 3))])
+    assert nm.dense_median_bandwidth(A, B) == 0.0
+    with pytest.raises(MetricError):
+        metrics.median_bandwidth(A, B)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "binary"])
+def test_pairwise_metrics_run_in_bounded_memory(kind):
+    # the dense formulas need about 720 MB here
+    rng = np.random.default_rng(23)
+    A, B = rng.standard_normal((1500, 10)), rng.standard_normal((1500, 10)) + 0.1
+    if kind == "binary":
+        A, B = (A > 0) * 1.0, (B > 0.5) * 1.0
+    tracemalloc.start()
+    try:
+        assert metrics.mmd(A, B, metrics.median_bandwidth(A, B)) >= 0.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
 
 
 def test_tvd_row_permutation_invariant_and_symmetric():

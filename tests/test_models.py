@@ -500,6 +500,18 @@ def test_checkpoint_rejects_bad_payloads(tmp_path):
     assert g2.d == 2 and f2.in_dim == 2
 
 
+@pytest.mark.parametrize("d,width", [(1, 1), (2, 3), (5, 10), (7, 2)])
+def test_checkpoint_size_check_agrees_with_the_built_model(d, width):
+    rng = np.random.default_rng(d * 10 + width)
+    payload = models.checkpoint_dict(models.random_generator(d, rng, width), models.new_discriminator(d, 0.5, rng))
+    g, f = models.from_checkpoint_dict(payload)
+    assert (g.d, g.subs[0].width) == (d, width)
+    for field, value in (("theta", payload["theta"] + [0.0]), ("nu", payload["nu"][:-1]),
+                         ("hidden_width", 0), ("disc_widths", [0] + payload["disc_widths"][1:])):
+        with pytest.raises(UsageError):
+            models.from_checkpoint_dict(dict(payload, **{field: value}))
+
+
 def test_shape_errors():
     rng = np.random.default_rng(79)
     g = models.random_generator(3, rng)
