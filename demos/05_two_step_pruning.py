@@ -26,7 +26,7 @@ g, _, report = training.train_two_step(data, cfg)
 
 print(f"phase 1 budget: epsilon = {report.epsilon_phase1:.3f}")
 print(f"both phases:    epsilon = {report.epsilon:.3f} at delta = {report.delta:g}")
-print(f"steps accounted: {report.steps} (trace length {len(report.trace)})")
+print(f"steps accounted: {report.steps} ({report.gen_updates} generator updates)")
 
 kept = dropped = 0
 for j, mask in enumerate(report.freeze_mask, start=1):

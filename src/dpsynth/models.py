@@ -230,22 +230,28 @@ def new_discriminator(d: int, clamp: float, rng: np.random.Generator) -> Discrim
 
 def sample_batch(g: SequentialGenerator, Zb: np.ndarray) -> np.ndarray:
     """Map a (B, d) noise batch to B synthetic rows, column by column."""
-    X, _ = _generator_forward_cached(g, Zb)
+    X, _ = _generator_forward(g, Zb, keep_caches=False)
     return X
 
 
-def _generator_forward_cached(g: SequentialGenerator, Zb: np.ndarray):
+def _generator_forward(g: SequentialGenerator, Zb: np.ndarray, keep_caches: bool = True):
+    """Rows and, with ``keep_caches``, each column's ``nn.forward`` caches.
+
+    ``X`` starts as a copy of the noise: column jj still holds z_jj until
+    x_jj overwrites it, so sub-generator jj's input ``u = [x_prefix, z_jj]``
+    is the view ``X[:, :jj + 1]``.
+    """
     Zb = np.asarray(Zb, dtype=np.float64)
     if Zb.ndim != 2 or Zb.shape[1] != g.d:
         raise ShapeError(f"noise batch shape {Zb.shape}, expected (B, {g.d})")
-    B = Zb.shape[0]
-    X = np.empty((B, g.d))
+    X = Zb.copy()
     caches = []
     for jj, s in enumerate(g.subs):
-        U = np.concatenate([X[:, :jj], Zb[:, jj : jj + 1]], axis=1)
-        y, layer_caches = nn.forward((s.hidden, s.out), U @ s.w_in)
-        X[:, jj] = U @ s.skip + y[:, 0]
-        caches.append((U, layer_caches))
+        u = X[:, : jj + 1]
+        y, layer_caches = nn.forward((s.hidden, s.out), u @ s.w_in)
+        X[:, jj] = u @ s.skip + y[:, 0]
+        if keep_caches:
+            caches.append(layer_caches)
     return X, caches
 
 
@@ -324,53 +330,63 @@ def generator_grad(
     """Flat gradient of [-mean critic(fakes) + group-lasso penalty] over all
     generator parameters, in ``g.theta`` order. The critic's input gradient
     is backpropagated column by column, last column first, through each
-    sub-generator's ``(hidden, out)`` stack and its input map and skip path.
-    The penalty group for input k is ``(w_in[k], skip[k])``, so its
-    subgradient reaches both. Frozen input slots receive exactly zero
-    gradient.
+    sub-generator's ``(hidden, out)`` stack and its input map and skip path;
+    each column's piece is written straight into its slice of the result.
+    Its input ``u = [x_prefix, z]`` is read back as the generated prefix
+    plus one noise row, and only the prefix columns pass gradient on. The
+    penalty group for input k is ``(w_in[k], skip[k])``, so its subgradient
+    reaches both; a column whose lam is 0 skips it. Frozen input slots
+    receive exactly zero gradient.
     """
     Z_batch = np.asarray(Z_batch, dtype=np.float64)
     if Z_batch.size == 0:
         raise UsageError("generator gradient needs a non-empty noise batch")
-    X, caches = _generator_forward_cached(g, Z_batch)
+    X, caches = _generator_forward(g, Z_batch)
     B = X.shape[0]
     _, dcaches = disc_forward_batch(f, X)
     dX = -nn.backward(f.layers, dcaches, np.ones((B, 1)))[0] / B
     lam = sched.values(g.d)
 
-    pieces = [None] * g.d
+    grad = np.empty_like(g.theta)
+    end = grad.size
     for jj in range(g.d - 1, -1, -1):
         s = g.subs[jj]
-        U, layer_caches = caches[jj]
         xbar = dX[:, jj]
-        dfeat, dtail = nn.backward((s.hidden, s.out), layer_caches, xbar[:, None])
-        dW = U.T @ dfeat
-        dskip = xbar @ U
-        du = np.outer(xbar, s.skip) + dfeat @ s.w_in.T
+        z = Z_batch[:, jj]
+        prefix = X[:, :jj]
+        dfeat, dtail = nn.backward((s.hidden, s.out), caches[jj], xbar[:, None])
+        start = end - dtail.size - s.skip.size - s.w_in.size
+        dW = grad[start : start + s.w_in.size].reshape(s.w_in.shape)
+        dskip = grad[start + s.w_in.size : end - dtail.size]
+        grad[end - dtail.size : end] = dtail
+        dW[:jj] = prefix.T @ dfeat
+        dW[jj] = z @ dfeat
+        dskip[:jj] = xbar @ prefix
+        dskip[jj] = xbar @ z
         if jj > 0:
-            dX[:, :jj] += du[:, :jj]
-        sub = lam[jj] * group_lasso_subgrad(np.column_stack([s.w_in, s.skip]))
-        dW += sub[:, :-1]
-        dskip += sub[:, -1]
+            dX[:, :jj] += np.outer(xbar, s.skip[:jj]) + dfeat @ s.w_in[:jj].T
+        if lam[jj] != 0.0:
+            sub = lam[jj] * group_lasso_subgrad(np.column_stack([s.w_in, s.skip]))
+            dW += sub[:, :-1]
+            dskip += sub[:, -1]
         dW[s.frozen] = 0.0
         dskip[s.frozen] = 0.0
-        pieces[jj] = np.concatenate([dW.ravel(), dskip, dtail])
-    return np.concatenate(pieces)
+        end = start
+    return grad
 
 
-def disc_loss_grads_batch(f: Discriminator, g: SequentialGenerator, X_real: np.ndarray, Z_batch: np.ndarray):
-    """Per-example critic-loss gradients for a paired batch.
+def disc_loss_grads_batch(f: Discriminator, X_real: np.ndarray, fakes: np.ndarray):
+    """Per-example critic-loss gradients for real rows paired with fakes.
 
     Returns ``(grads, f_real, f_fake)`` where ``grads[i]`` is the gradient of
-    ``-(critic(X_real[i]) - critic(fake_i))``, in ``f.nu`` order, from two
-    per-example ``nn.backward`` passes, and the critic values are handed back
-    so the caller does not need a second pass over the private rows.
+    ``-(critic(X_real[i]) - critic(fakes[i]))``, in ``f.nu`` order, from two
+    per-example ``nn.backward`` passes. The fakes come from ``sample_batch``;
+    the caller draws them, so one sampling pass can serve several steps.
     """
     X_real = np.asarray(X_real, dtype=np.float64)
-    Z_batch = np.asarray(Z_batch, dtype=np.float64)
-    if X_real.shape[0] != Z_batch.shape[0]:
-        raise ShapeError("real batch and noise batch must pair up")
-    fakes = sample_batch(g, Z_batch)
+    fakes = np.asarray(fakes, dtype=np.float64)
+    if X_real.shape[0] != fakes.shape[0]:
+        raise ShapeError("real batch and fake batch must pair up")
     f_real, real_caches = disc_forward_batch(f, X_real)
     f_fake, fake_caches = disc_forward_batch(f, fakes)
     ones = np.ones((len(fakes), 1))

@@ -3,10 +3,14 @@ SGD generator descent on the penalized objective.
 
 Every step draws a Poisson batch of real rows, takes one privatized critic
 step, and clamps the critic weights; every t_g-th step also takes one
-generator step. Real rows are read in exactly one place (the per-example
-critic gradients feeding the privatized release); everything else runs on
-noise. Privacy accounting covers every step, including steps whose Poisson
-batch came up empty and were therefore skipped.
+generator step. The generator only changes at those steps, so the fakes for
+a whole window of t_g critic steps are sampled in one pass. Real rows are
+read in exactly one place (the per-example critic gradients feeding the
+privatized release); everything else runs on noise. Nothing computed from
+the real rows is kept except through that release: the divergence guard
+reads the release and the generator parameters. Privacy accounting covers
+every step, including steps whose Poisson batch came up empty and were
+therefore skipped.
 
 With ``TrainConfig.two_step`` the same loop runs a second phase: it trains
 penalized, prunes weak prefix rows to exact zero, then re-optimizes without
@@ -86,7 +90,6 @@ class TrainReport:
     epsilon: float
     epsilon_phase1: float | None
     non_private: bool
-    trace: list
     row_norm_table: list
     freeze_mask: list | None
     wall_clock: float
@@ -128,35 +131,43 @@ def _run_phase(
     dp_cfg: dp.DpConfig,
     sched: models.PenaltySchedule,
     rngs,
-    trace: list,
 ) -> int:
-    """One optimization phase of cfg.steps; returns the generator update count."""
+    """One optimization phase of cfg.steps; returns the generator update count.
+
+    Steps run in windows ``[k*t_g + 1, (k+1)*t_g]`` (the last one may be
+    short). The generator is fixed inside a window, so the window draws its
+    Poisson batches, then its noise in one ``rng_z`` draw (the same numbers,
+    in the same order, as one draw per step), and samples every critic
+    step's fakes in one ``sample_batch`` pass. A window that ends on a
+    multiple of t_g closes with a generator step on the noise's tail rows.
+    """
     _, rng_batch, rng_z, rng_noise = rngs
-    d = data.d
     gen_updates = 0
-    for t in range(1, cfg.steps + 1):
-        idx = poisson_batch(data.n, dp_cfg.sample_rate, rng_batch)
-        if idx.size > 0:
-            X_real = data.rows(idx)
-            Zb = rng_z.standard_normal((idx.size, d))
-            grads, f_real, f_fake = models.disc_loss_grads_batch(f, g, X_real, Zb)
+    for start in range(0, cfg.steps, cfg.t_g):
+        stop = min(start + cfg.t_g, cfg.steps)
+        batches = [poisson_batch(data.n, dp_cfg.sample_rate, rng_batch) for _ in range(start, stop)]
+        ends = np.cumsum([idx.size for idx in batches])
+        n_fake = int(ends[-1])
+        gen_step = stop % cfg.t_g == 0
+        Z = rng_z.standard_normal((n_fake + cfg.batch * gen_step, data.d))
+        fakes = models.sample_batch(g, Z[:n_fake]) if n_fake else None
+        for t, idx, end in zip(range(start + 1, stop + 1), batches, ends):
+            if idx.size == 0:
+                continue
+            grads = models.disc_loss_grads_batch(f, data.rows(idx), fakes[end - idx.size : end])[0]
             release = dp.privatize(grads, dp_cfg, rng_noise)
+            if not np.all(np.isfinite(release)):
+                raise TrainingDiverged(f"non-finite critic release at step {t}")
             f.nu -= cfg.eta_nu * release
             models.clip_weights(f)
-            delta_est = float(f_real.mean() - f_fake.mean())
-            if not math.isfinite(delta_est) or abs(delta_est) > DIVERGENCE_LIMIT:
+        if gen_step:
+            g.theta -= cfg.eta_theta * models.generator_grad(f, g, Z[n_fake:], sched)
+            largest = float(np.max(np.abs(g.theta)))
+            if not largest <= DIVERGENCE_LIMIT:  # NaN fails the comparison too
                 raise TrainingDiverged(
-                    f"objective estimate {delta_est} at step {t} (limit {DIVERGENCE_LIMIT:g})"
+                    f"generator parameters reach max |theta| = {largest:g} at step {stop}"
+                    f" (limit {DIVERGENCE_LIMIT:g})"
                 )
-            trace.append(delta_est)
-        else:
-            trace.append(None)
-        if t % cfg.t_g == 0:
-            Zg = rng_z.standard_normal((cfg.batch, d))
-            step_dir = models.generator_grad(f, g, Zg, sched)
-            g.theta -= cfg.eta_theta * step_dir
-            if not np.all(np.isfinite(g.theta)):
-                raise TrainingDiverged(f"non-finite generator parameters at step {t}")
             gen_updates += 1
     return gen_updates
 
@@ -165,7 +176,7 @@ def _epsilon(cfg: TrainConfig, ledger) -> float:
     return math.inf if cfg.dp.noise_multiplier == 0.0 else dp.eps_from_ledger(ledger)
 
 
-def _finish_report(cfg, q, ledger, gen_updates, trace, g, mask, eps1, t0) -> TrainReport:
+def _finish_report(cfg, q, ledger, gen_updates, g, mask, eps1, t0) -> TrainReport:
     sigma = cfg.dp.noise_multiplier
     return TrainReport(
         seed=cfg.seed,
@@ -180,7 +191,6 @@ def _finish_report(cfg, q, ledger, gen_updates, trace, g, mask, eps1, t0) -> Tra
         epsilon=_epsilon(cfg, ledger),
         epsilon_phase1=eps1,
         non_private=sigma == 0.0,
-        trace=trace,
         row_norm_table=[norms.tolist() for norms in models.row_norms(g)],
         freeze_mask=mask,
         wall_clock=time.perf_counter() - t0,
@@ -206,7 +216,6 @@ def train(data: Table, cfg: TrainConfig):
     )
     f = models.new_discriminator(data.d, cfg.clamp, rng_init)
     ledger = dp.new_ledger(cfg.dp.orders, cfg.dp.delta)
-    trace: list = []
     gen_updates = 0
     mask = eps1 = None
     for phase, lam in enumerate([cfg.lam, 0.0] if cfg.two_step else [cfg.lam]):
@@ -215,9 +224,9 @@ def train(data: Table, cfg: TrainConfig):
             g, frozen = models.prune(g, cfg.tau)
             mask = [m.tolist() for m in frozen]
         sched = models.PenaltySchedule(lam, cfg.gamma)
-        gen_updates += _run_phase(data, g, f, cfg, dp_cfg, sched, rngs, trace)
+        gen_updates += _run_phase(data, g, f, cfg, dp_cfg, sched, rngs)
         ledger = dp.ledger_compose(ledger, dp_cfg, cfg.steps)
-    return g, f, _finish_report(cfg, q, ledger, gen_updates, trace, g, mask, eps1, t0)
+    return g, f, _finish_report(cfg, q, ledger, gen_updates, g, mask, eps1, t0)
 
 
 def train_two_step(data: Table, cfg: TrainConfig):

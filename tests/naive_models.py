@@ -1,10 +1,11 @@
-"""Slow, loop-based re-implementations of the generator and critic forward
-passes, used as oracles.
+"""Slow, loop-based re-implementations used as oracles: the generator and
+critic forward passes, and the per-step training loop.
 
-These deliberately avoid the library's vectorized code paths: one example
-at a time, plain Python sums over inputs and units.
+The forward passes deliberately avoid the library's vectorized code paths:
+one example at a time, plain Python sums over inputs and units.
 """
 
+from dpsynth import dp, models, training
 from dpsynth.nn import LEAKY_RELU
 
 
@@ -41,3 +42,24 @@ def naive_discriminator(f, x):
     for layer in f.layers:
         h = _layer(layer, h)
     return h[0]
+
+
+def naive_run_phase(data, g, f, cfg, dp_cfg, sched, rngs):
+    """``training._run_phase`` one step at a time: each step samples its own
+    fakes, and every t_g-th step then draws the generator's noise. It keeps
+    no divergence guard; it is an arithmetic oracle only."""
+    _, rng_batch, rng_z, rng_noise = rngs
+    gen_updates = 0
+    for t in range(1, cfg.steps + 1):
+        idx = training.poisson_batch(data.n, dp_cfg.sample_rate, rng_batch)
+        if idx.size > 0:
+            Zb = rng_z.standard_normal((idx.size, data.d))
+            fakes = models.sample_batch(g, Zb)
+            grads = models.disc_loss_grads_batch(f, data.rows(idx), fakes)[0]
+            f.nu -= cfg.eta_nu * dp.privatize(grads, dp_cfg, rng_noise)
+            models.clip_weights(f)
+        if t % cfg.t_g == 0:
+            Zg = rng_z.standard_normal((cfg.batch, data.d))
+            g.theta -= cfg.eta_theta * models.generator_grad(f, g, Zg, sched)
+            gen_updates += 1
+    return gen_updates

@@ -235,6 +235,36 @@ def test_generator_grad_matches_finite_differences():
     assert nn.grad_check(fn, g.theta.copy()) < 1e-6
 
 
+@pytest.mark.parametrize("lam,frozen", [(0.0, False), (0.0, True), (0.01, True)])
+def test_generator_grad_hand_cases_match_finite_differences(lam, frozen):
+    # lam = 0 skips the penalty term; a frozen slot must get zero gradient,
+    # so the oracle holds frozen rows at zero and its differences vanish there
+    rng = np.random.default_rng(59)
+    g = models.random_generator(4, rng, width=3)
+    f = models.new_discriminator(4, 0.5, rng)
+    if frozen:
+        g.subs[2].frozen[1] = g.subs[3].frozen[0] = True
+    X = rng.standard_normal((5, 4))
+    Z = rng.standard_normal((6, 4))
+    sched = models.PenaltySchedule(lam, 0.5)
+
+    def fn(theta):
+        g.theta[:] = theta
+        for s in g.subs:
+            s.w_in[s.frozen] = 0.0
+            s.skip[s.frozen] = 0.0
+        val = models.penalized_objective(f, g, X, Z, sched)
+        return val, models.generator_grad(f, g, Z, sched)
+
+    assert nn.grad_check(fn, g.theta.copy()) < 1e-6
+    if frozen:
+        sl = flat_slices(g)[2]
+        w_row = slice(sl["w_in"][0] + 3, sl["w_in"][0] + 6)
+        grad = models.generator_grad(f, g, Z, sched)
+        np.testing.assert_array_equal(grad[w_row], np.zeros(3))
+        assert grad[sl["skip"][0] + 1] == 0.0
+
+
 def test_disc_per_example_grad_matches_finite_differences():
     rng = np.random.default_rng(41)
     g = models.random_generator(3, rng, width=4)
@@ -248,7 +278,7 @@ def test_disc_per_example_grad_matches_finite_differences():
         def fn(nu):
             f.nu[:] = nu
             val = -(critic(f, X[i : i + 1])[0] - critic(f, fakes[i : i + 1])[0])
-            return val, models.disc_loss_grads_batch(f, g, X, Z)[0][i]
+            return val, models.disc_loss_grads_batch(f, X, fakes)[0][i]
 
         assert nn.grad_check(fn, f.nu.copy()) < 1e-6
 
@@ -259,9 +289,10 @@ def test_batch_disc_grads_match_per_example():
     f = models.new_discriminator(4, 0.5, rng)
     X = rng.standard_normal((6, 4))
     Z = rng.standard_normal((6, 4))
-    grads, f_real, f_fake = models.disc_loss_grads_batch(f, g, X, Z)
+    fakes = models.sample_batch(g, Z)
+    grads, f_real, f_fake = models.disc_loss_grads_batch(f, X, fakes)
     for i in range(6):
-        single, _, _ = models.disc_loss_grads_batch(f, g, X[i : i + 1], Z[i : i + 1])
+        single, _, _ = models.disc_loss_grads_batch(f, X[i : i + 1], fakes[i : i + 1])
         np.testing.assert_allclose(grads[i], single[0], rtol=0, atol=1e-12)
         assert abs(f_real[i] - naive_discriminator(f, X[i])) < 1e-12
         fake = naive_generator(g, Z[i])
@@ -523,7 +554,7 @@ def test_shape_errors():
     with pytest.raises(ShapeError):
         models.disc_forward_batch(f, np.zeros((4, 2)))
     with pytest.raises(ShapeError):
-        models.disc_loss_grads_batch(f, g, np.zeros((4, 3)), np.zeros((3, 3)))
+        models.disc_loss_grads_batch(f, np.zeros((4, 3)), np.zeros((3, 3)))  # real/fake pairing
     with pytest.raises(ShapeError):
         models.new_generator(0, rng)
     with pytest.raises(UsageError):

@@ -7,6 +7,7 @@ import pytest
 from dpsynth import dp, models, semdata, tabular, training
 from dpsynth.errors import TrainingDiverged, UsageError
 from dpsynth.tabular import Table
+from naive_models import naive_run_phase
 
 
 def small_data(seed=0, d=3, n=60, kind="linear"):
@@ -99,7 +100,7 @@ def test_run_is_deterministic():
         g2, f2, r2 = training.train(data, cfg)
         np.testing.assert_array_equal(g1.theta, g2.theta)
         np.testing.assert_array_equal(f1.nu, f2.nu)
-        assert r1.trace == r2.trace
+        assert r1.to_dict() == r2.to_dict()
 
 
 class CountingTable(Table):
@@ -160,8 +161,9 @@ def test_empty_batches_are_skipped_but_accounted():
     )
     _, _, rep = training.train(data, cfg)
     assert rep.steps == 60  # every step accounted, empty or not
-    assert any(v is None for v in rep.trace)  # q = 0.01 surely yields empty batches
-    assert len(rep.trace) == 60
+    rng_batch = training._streams(4)[1]  # replay the run's batch draws
+    sizes = [training.poisson_batch(100, 0.01, rng_batch).size for _ in range(60)]
+    assert 0 in sizes  # q = 0.01 surely yields empty batches
     fresh = dp.epsilon_for(0.01, 1.0, 60, cfg.dp.delta)
     assert abs(rep.epsilon - fresh) < 1e-12
 
@@ -180,6 +182,13 @@ def test_divergence_guard_raises():
     )
     with pytest.raises(TrainingDiverged):
         training.train(data, cfg)
+
+
+def test_divergence_guard_reads_the_noisy_release(monkeypatch):
+    monkeypatch.setattr(dp, "privatize", lambda grads, cfg, rng: np.full(grads.shape[1], np.nan))
+    cfg = training.TrainConfig(steps=5, batch=10, seed=0, dp=dp.DpConfig(noise_multiplier=1.0))
+    with pytest.raises(TrainingDiverged, match="release at step 1"):
+        training.train(small_data(), cfg)
 
 
 def test_batch_larger_than_table_rejected():
@@ -281,8 +290,60 @@ def test_trace_length_and_report_dict_round_trip():
     data = small_data()
     cfg = training.TrainConfig(steps=18, batch=10, t_g=6, seed=12, dp=dp.DpConfig(noise_multiplier=0.0))
     _, _, rep = training.train(data, cfg)
-    assert len(rep.trace) == 18
     d = rep.to_dict()
+    assert "trace" not in d  # per-step critic means over real rows are not released
     assert d["gen_updates"] == 3
     assert len(d["row_norm_table"]) == data.d
     assert d["freeze_mask"] is None
+
+
+@pytest.mark.parametrize(
+    "sigma,t_g,batch,two_step",
+    [
+        (0.0, 1, 10, False),
+        (0.0, 5, 10, False),
+        (1.5, 7, 10, False),
+        (1.5, 5, 1, False),  # q = 1/60: some batches come up empty
+        (0.0, 7, 10, True),
+        (1.5, 5, 10, True),
+    ],
+)
+def test_windowed_loop_matches_per_step_loop(monkeypatch, sigma, t_g, batch, two_step):
+    data = small_data()
+    cfg = training.TrainConfig(
+        steps=23, batch=batch, t_g=t_g, tau=0.12, seed=13, two_step=two_step,
+        dp=dp.DpConfig(noise_multiplier=sigma),
+    )
+    g, f, rep = training.train(data, cfg)
+    monkeypatch.setattr(training, "_run_phase", naive_run_phase)
+    g_ref, f_ref, rep_ref = training.train(data, cfg)
+    np.testing.assert_allclose(g.theta, g_ref.theta, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(f.nu, f_ref.nu, rtol=0, atol=1e-12)
+    assert rep.gen_updates == rep_ref.gen_updates == (2 if two_step else 1) * (23 // t_g)
+    if batch == 1:
+        rng_batch = training._streams(13)[1]
+        assert any(training.poisson_batch(data.n, 1 / data.n, rng_batch).size == 0 for _ in range(23))
+
+
+@pytest.mark.parametrize("two_step", [False, True])
+def test_one_batch_draw_per_step_and_one_sampling_pass_per_window(monkeypatch, two_step):
+    calls = {"poisson_batch": 0, "sample_batch": 0}
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(training, "poisson_batch")
+    counted(models, "sample_batch")
+    cfg = training.TrainConfig(
+        steps=23, batch=10, t_g=5, seed=14, two_step=two_step, dp=dp.DpConfig(noise_multiplier=1.0)
+    )
+    training.train(small_data(), cfg)
+    phases = 2 if two_step else 1
+    assert calls["poisson_batch"] == phases * 23
+    assert 1 <= calls["sample_batch"] <= phases * math.ceil(23 / 5)
