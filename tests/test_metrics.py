@@ -185,6 +185,42 @@ def test_tiled_median_and_mmd_match_dense_formulas(n_a, d, small, monkeypatch):
     assert abs(metrics.mmd(A, B) - nm.dense_mmd(A, B, h)) <= 1e-12
 
 
+# Tiles are built one column slab at a time and summed by _sum_slabs in
+# numpy's add.reduce order; if a numpy release changes that order, these fail.
+
+
+@pytest.mark.parametrize("d", [*range(1, 41), 127, 128, 129, 130, 200, 257])
+def test_slab_sum_is_numpys_row_major_sum(d):
+    rng = np.random.default_rng(d)
+    # magnitudes spread over 16 decades make every summation order show
+    S = rng.random((d, 3, 5)) * 10.0 ** rng.uniform(-8, 8, (d, 1, 1))
+    want = np.ascontiguousarray(np.moveaxis(S, 0, -1)).sum(axis=-1)
+    got = metrics._sum_slabs(S.copy())
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("small", [False, True], ids=["default", "small"])
+@pytest.mark.parametrize("d", [8, 9, 30])
+def test_tiled_metrics_match_dense_at_block_widths(d, small, monkeypatch):
+    if small:
+        monkeypatch.setattr(metrics, "_TILE_COLS", 100)
+        monkeypatch.setattr(metrics, "_GATHER_MAX", 500)
+    rng = np.random.default_rng(200 + d)
+    A = rng.standard_normal((400, d)) * rng.uniform(0.01, 100, d)
+    B = 1.5 * rng.standard_normal((300, d)) + 0.2
+    assert _diagonal_tiles(A, B) >= 2
+    h = metrics.median_bandwidth(A, B)
+    assert h == nm.dense_median_bandwidth(A, B)
+    assert abs(metrics.mmd(A, B, h) - nm.dense_mmd(A, B, h)) <= 1e-12
+
+
+def test_zero_columns_give_zero_distances():
+    A, B = np.zeros((5, 0)), np.zeros((4, 0))
+    with pytest.raises(MetricError):
+        metrics.median_bandwidth(A, B)
+    assert metrics.mmd(A, B, 1.0) == 0.0
+
+
 def _binary(rng):
     return (rng.random((400, 4)) < 0.5) * 1.0, (rng.random((300, 4)) < 0.3) * 1.0
 

@@ -66,6 +66,19 @@ def test_csv_round_trip_exact(tmp_path):
     np.testing.assert_array_equal(back.values, t.values)  # repr round-trips bit-exactly
 
 
+def test_write_csv_cells_are_float_reprs(tmp_path):
+    # csv writes floats with str; the cells must stay the shortest
+    # round-trip repr of every value, edge cases included
+    edge = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e-300, float(2**53 + 1), 0.1, 1 / 3, 1e16]
+    vals = np.vstack([np.reshape(edge, (5, 2)), np.random.default_rng(4).standard_normal((7, 2)) * 1e5])
+    t = tabular.Table(("a", "b"), vals)
+    p = tmp_path / "t.csv"
+    tabular.write_csv(t, p)
+    want = "a,b\r\n" + "".join(f"{float(x)!r},{float(y)!r}\r\n" for x, y in vals)
+    assert p.read_bytes() == want.encode()
+    np.testing.assert_array_equal(tabular.read_csv(p).values, vals)
+
+
 def test_fit_preprocessor_hand_values():
     t = tabular.Table(("a",), np.array([[0.0], [2.0]]))
     p = tabular.fit_preprocessor(t)

@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -347,3 +348,44 @@ def test_one_batch_draw_per_step_and_one_sampling_pass_per_window(monkeypatch, t
     phases = 2 if two_step else 1
     assert calls["poisson_batch"] == phases * 23
     assert 1 <= calls["sample_batch"] <= phases * math.ceil(23 / 5)
+
+
+class _AuditedTable(Table):
+    """A Table that counts ``rows`` calls and records which functions read
+    ``values``."""
+
+    def __init__(self, names, values):
+        super().__init__(names, values)
+        self.rows_calls = 0
+        self.readers = set()
+
+    @property
+    def values(self):
+        if hasattr(self, "readers"):
+            self.readers.add(sys._getframe(1).f_code.co_qualname)
+        return self._values
+
+    @values.setter
+    def values(self, v):
+        self._values = v
+
+    def rows(self, idx):
+        self.rows_calls += 1
+        return super().rows(idx)
+
+
+@pytest.mark.parametrize("two_step", [False, True])
+def test_private_rows_are_read_once_per_nonempty_batch(two_step):
+    base = small_data()
+    data = _AuditedTable(base.names, base.values)
+    cfg = training.TrainConfig(
+        steps=40, batch=2, t_g=5, seed=8, two_step=two_step, dp=dp.DpConfig(noise_multiplier=1.0)
+    )
+    training.train(data, cfg)
+    rng_batch = training._streams(cfg.seed)[1]  # replay the run's batch draws
+    phases = 2 if two_step else 1
+    sizes = [training.poisson_batch(data.n, cfg.batch / data.n, rng_batch).size for _ in range(phases * 40)]
+    assert 0 in sizes and any(sizes)
+    assert data.rows_calls == sum(1 for size in sizes if size)
+    assert "Table.rows" in data.readers
+    assert data.readers <= {"Table.n", "Table.d", "Table.rows"}
