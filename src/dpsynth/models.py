@@ -22,6 +22,7 @@ sub-generators' input map and skip path around those passes.
 from __future__ import annotations
 
 import copy
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -90,6 +91,7 @@ class SequentialGenerator:
     bias (the last four are ``nn.backward``'s layout for ``(hidden, out)``);
     the sub-generators' arrays are views into it. Building a generator
     re-homes them, so a sub-generator belongs to one generator at a time.
+    All sub-generators share one width, so the layout is fixed by (d, width).
     """
 
     subs: list
@@ -99,6 +101,8 @@ class SequentialGenerator:
         for pos, s in enumerate(self.subs, start=1):
             if s.index != pos:
                 raise ShapeError(f"sub-generator at position {pos} has index {s.index}")
+            if s.width != self.subs[0].width:
+                raise ShapeError(f"sub-generator {pos} has width {s.width}, sub-generator 1 has {self.subs[0].width}")
         dense = ("weight", "bias")
         self.theta = nn.gather(
             [grp for s in self.subs for grp in ((s, ("w_in", "skip")), (s.hidden, dense), (s.out, dense))]
@@ -328,15 +332,18 @@ def generator_grad(
     sched: PenaltySchedule,
 ) -> np.ndarray:
     """Flat gradient of [-mean critic(fakes) + group-lasso penalty] over all
-    generator parameters, in ``g.theta`` order. The critic's input gradient
-    is backpropagated column by column, last column first, through each
-    sub-generator's ``(hidden, out)`` stack and its input map and skip path;
-    each column's piece is written straight into its slice of the result.
-    Its input ``u = [x_prefix, z]`` is read back as the generated prefix
-    plus one noise row, and only the prefix columns pass gradient on. The
-    penalty group for input k is ``(w_in[k], skip[k])``, so its subgradient
-    reaches both; a column whose lam is 0 skips it. Frozen input slots
-    receive exactly zero gradient.
+    generator parameters, in ``g.theta`` order.
+
+    The critic's input gradient is backpropagated column by column, last
+    column first: ``nn.backward`` writes each sub-generator's
+    ``(hidden, out)`` gradient straight into its slice of the result, then
+    the input map and skip path take theirs. Column jj's input
+    ``u = [x_prefix, z]`` is read back as the generated prefix plus one noise
+    row, and only the prefix columns pass gradient on. The penalty and the
+    freeze mask feed no other term, so they are applied once, after the
+    loop, to all ``(w_in[k], skip[k])`` groups: prefix group k of column jj
+    gains lam_jj times its ``group_lasso_subgrad`` row (skipped when every
+    lam is 0), and frozen input slots end at exactly zero gradient.
     """
     Z_batch = np.asarray(Z_batch, dtype=np.float64)
     if Z_batch.size == 0:
@@ -345,7 +352,6 @@ def generator_grad(
     B = X.shape[0]
     _, dcaches = disc_forward_batch(f, X)
     dX = -nn.backward(f.layers, dcaches, np.ones((B, 1)))[0] / B
-    lam = sched.values(g.d)
 
     grad = np.empty_like(g.theta)
     end = grad.size
@@ -354,34 +360,58 @@ def generator_grad(
         xbar = dX[:, jj]
         z = Z_batch[:, jj]
         prefix = X[:, :jj]
-        dfeat, dtail = nn.backward((s.hidden, s.out), caches[jj], xbar[:, None])
-        start = end - dtail.size - s.skip.size - s.w_in.size
+        tail = end - (s.width + 1) ** 2  # the (hidden, out) pair's entries
+        dfeat, _ = nn.backward((s.hidden, s.out), caches[jj], xbar[:, None], out=grad[tail:end])
+        start = tail - s.skip.size - s.w_in.size
         dW = grad[start : start + s.w_in.size].reshape(s.w_in.shape)
-        dskip = grad[start + s.w_in.size : end - dtail.size]
-        grad[end - dtail.size : end] = dtail
+        dskip = grad[start + s.w_in.size : tail]
         dW[:jj] = prefix.T @ dfeat
         dW[jj] = z @ dfeat
         dskip[:jj] = xbar @ prefix
         dskip[jj] = xbar @ z
         if jj > 0:
             dX[:, :jj] += np.outer(xbar, s.skip[:jj]) + dfeat @ s.w_in[:jj].T
-        if lam[jj] != 0.0:
-            sub = lam[jj] * group_lasso_subgrad(np.column_stack([s.w_in, s.skip]))
-            dW += sub[:, :-1]
-            dskip += sub[:, -1]
-        dW[s.frozen] = 0.0
-        dskip[s.frozen] = 0.0
         end = start
+
+    groups = _group_positions(g.d, g.subs[0].width)
+    lam = sched.values(g.d)
+    if lam.any():
+        sizes = np.arange(1, g.d + 1)  # sub-generator j has j groups, the last one its noise slot
+        # group_lasso_subgrad skips only the stack's last row, so the other noise rows are zeroed here
+        sub = group_lasso_subgrad(g.theta[groups])
+        sub[np.cumsum(sizes) - 1] = 0.0
+        grad[groups] += np.repeat(lam, sizes)[:, None] * sub
+    grad[groups[np.concatenate([s.frozen for s in g.subs])]] = 0.0
     return grad
 
 
-def disc_loss_grads_batch(f: Discriminator, X_real: np.ndarray, fakes: np.ndarray):
+@functools.lru_cache(maxsize=8)
+def _group_positions(d: int, width: int) -> np.ndarray:
+    """θ positions of every input group ``(w_in[k], skip[k])``, sub-generator
+    by sub-generator: a read-only (d(d+1)/2, width + 1) index."""
+    rows, start = [], 0
+    for j in range(1, d + 1):
+        w_in = start + np.arange(j * width).reshape(j, width)
+        rows.append(np.column_stack([w_in, start + j * width + np.arange(j)]))
+        start += (width + 1) * (j + width + 1)
+    index = np.concatenate(rows)
+    index.flags.writeable = False  # shared by every call through the cache
+    return index
+
+
+def disc_loss_grads_batch(f: Discriminator, X_real: np.ndarray, fakes: np.ndarray, out=None):
     """Per-example critic-loss gradients for real rows paired with fakes.
 
     Returns ``(grads, f_real, f_fake)`` where ``grads[i]`` is the gradient of
     ``-(critic(X_real[i]) - critic(fakes[i]))``, in ``f.nu`` order, from two
     per-example ``nn.backward`` passes. The fakes come from ``sample_batch``;
     the caller draws them, so one sampling pass can serve several steps.
+
+    ``out`` is an optional (2, cap, P) float64 scratch buffer. When
+    cap >= B the fake pass is written into ``out[0, :B]``, the real pass
+    into ``out[1, :B]``, their sum into ``out[0, :B]``, and ``grads`` is
+    that view: it is valid until the next call on the same buffer. A
+    missing or smaller buffer is replaced by a fresh one.
     """
     X_real = np.asarray(X_real, dtype=np.float64)
     fakes = np.asarray(fakes, dtype=np.float64)
@@ -389,10 +419,13 @@ def disc_loss_grads_batch(f: Discriminator, X_real: np.ndarray, fakes: np.ndarra
         raise ShapeError("real batch and fake batch must pair up")
     f_real, real_caches = disc_forward_batch(f, X_real)
     f_fake, fake_caches = disc_forward_batch(f, fakes)
-    ones = np.ones((len(fakes), 1))
-    grads = nn.backward(f.layers, fake_caches, ones, per_example=True)[1] + nn.backward(
-        f.layers, real_caches, -ones, per_example=True
-    )[1]
+    B = len(fakes)
+    if out is None or out.shape[1] < B:
+        out = np.empty((2, B, f.nu.size))
+    ones = np.ones((B, 1))
+    grads = nn.backward(f.layers, fake_caches, ones, per_example=True, out=out[0, :B])[1]
+    nn.backward(f.layers, real_caches, -ones, per_example=True, out=out[1, :B])
+    np.add(grads, out[1, :B], out=grads)
     return grads, f_real, f_fake
 
 

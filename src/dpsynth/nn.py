@@ -22,9 +22,12 @@ DEFAULT_SLOPE = 0.2
 
 
 def leaky_relu(v: np.ndarray, slope: float = DEFAULT_SLOPE) -> np.ndarray:
-    """Elementwise max(v, slope*v) for slope <= 1; slope=1 is the identity."""
+    """Elementwise v where v >= 0, else slope*v, for 0 <= slope <= 1; slope=1
+    is the identity. A positive slope takes the one-pass max(v, slope*v)."""
     v = np.asarray(v, dtype=np.float64)
-    return np.where(v >= 0.0, v, slope * v)
+    if slope == 0.0:  # 0 * inf is NaN, so max(v, 0*v) would lose +inf
+        return np.where(v >= 0.0, v, 0.0 * v)
+    return np.maximum(v, slope * v)
 
 
 def leaky_relu_grad(pre: np.ndarray, slope: float = DEFAULT_SLOPE) -> np.ndarray:
@@ -35,7 +38,8 @@ def leaky_relu_grad(pre: np.ndarray, slope: float = DEFAULT_SLOPE) -> np.ndarray
 
 @dataclass
 class DenseLayer:
-    """One affine map plus activation: y = act(weight @ x + bias)."""
+    """One affine map plus activation: y = act(weight @ x + bias); a leaky
+    ReLU's slope lies in [0, 1]."""
 
     weight: np.ndarray
     bias: np.ndarray
@@ -53,6 +57,8 @@ class DenseLayer:
             )
         if self.activation not in (IDENTITY, LEAKY_RELU):
             raise UsageError(f"unknown activation {self.activation!r}")
+        if not 0.0 <= self.slope <= 1.0:
+            raise UsageError(f"leaky ReLU slope must lie in [0, 1], got {self.slope}")
 
     @property
     def out_dim(self) -> int:
@@ -103,24 +109,40 @@ def forward(layers, X: np.ndarray):
     return X, caches
 
 
-def backward(layers, caches, delta: np.ndarray, per_example: bool = False):
+def backward(layers, caches, delta: np.ndarray, per_example: bool = False, out=None):
     """Backpropagate ``delta``, the (B, out) gradient at the stack's output.
 
     Returns the (B, in) gradient at the input and the parameter gradients in
     the stack's flat layout (per layer: weight row-major, then bias), summed
     over the batch as a (P,) vector, or one row per example as (B, P) with
-    ``per_example``.
+    ``per_example``. Each layer's pieces are written straight into their
+    slices of ``out`` when it is given (a float64 array of that shape, every
+    entry overwritten, returned itself), else of a new array.
     """
-    pieces = []  # bias then weight, last layer first: one flip restores the layout
+    B = len(delta)
+    P = sum(layer.weight.size + layer.bias.size for layer in layers)
+    shape = (B, P) if per_example else (P,)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or out.dtype != np.float64:
+        raise ShapeError(f"out is {out.dtype} {out.shape}, expected float64 {shape}")
+    end = P
     for layer, (xin, pre) in zip(reversed(layers), reversed(caches)):
         if layer.activation == LEAKY_RELU:
             delta = delta * leaky_relu_grad(pre, layer.slope)
+        n_out, n_in = layer.weight.shape
+        b0 = end - n_out
+        w0 = b0 - n_out * n_in
+        # splitting the last axis of a slice is always a view, so the products land in out
         if per_example:
-            pieces += [delta, np.einsum("bo,bi->boi", delta, xin).reshape(len(delta), -1)]
+            out[:, b0:end] = delta
+            np.einsum("bo,bi->boi", delta, xin, out=out[:, w0:b0].reshape(B, n_out, n_in))
         else:
-            pieces += [delta.sum(axis=0), (delta.T @ xin).ravel()]
+            delta.sum(axis=0, out=out[b0:end])
+            np.matmul(delta.T, xin, out=out[w0:b0].reshape(n_out, n_in))
         delta = delta @ layer.weight
-    return delta, np.concatenate(pieces[::-1], axis=-1)
+        end = w0
+    return delta, out
 
 
 def grad_check(f, params: np.ndarray, eps: float = 1e-6) -> float:

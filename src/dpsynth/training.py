@@ -140,21 +140,27 @@ def _run_phase(
     in the same order, as one draw per step), and samples every critic
     step's fakes in one ``sample_batch`` pass. A window that ends on a
     multiple of t_g closes with a generator step on the noise's tail rows.
+    Every critic step's per-example gradients go into one (2, cap, P)
+    buffer, grown only when a window's largest batch exceeds cap.
     """
     _, rng_batch, rng_z, rng_noise = rngs
     gen_updates = 0
+    buf = np.empty((2, 0, f.nu.size))
     for start in range(0, cfg.steps, cfg.t_g):
         stop = min(start + cfg.t_g, cfg.steps)
         batches = [poisson_batch(data.n, dp_cfg.sample_rate, rng_batch) for _ in range(start, stop)]
         ends = np.cumsum([idx.size for idx in batches])
         n_fake = int(ends[-1])
+        largest = max(idx.size for idx in batches)
+        if largest > buf.shape[1]:
+            buf = np.empty((2, largest, f.nu.size))
         gen_step = stop % cfg.t_g == 0
         Z = rng_z.standard_normal((n_fake + cfg.batch * gen_step, data.d))
         fakes = models.sample_batch(g, Z[:n_fake]) if n_fake else None
         for t, idx, end in zip(range(start + 1, stop + 1), batches, ends):
             if idx.size == 0:
                 continue
-            grads = models.disc_loss_grads_batch(f, data.rows(idx), fakes[end - idx.size : end])[0]
+            grads = models.disc_loss_grads_batch(f, data.rows(idx), fakes[end - idx.size : end], buf)[0]
             release = dp.privatize(grads, dp_cfg, rng_noise)
             if not np.all(np.isfinite(release)):
                 raise TrainingDiverged(f"non-finite critic release at step {t}")

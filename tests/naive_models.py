@@ -1,11 +1,14 @@
 """Slow, loop-based re-implementations used as oracles: the generator and
-critic forward passes, and the per-step training loop.
+critic forward passes, the per-column generator gradient, and the per-step
+training loop.
 
 The forward passes deliberately avoid the library's vectorized code paths:
 one example at a time, plain Python sums over inputs and units.
 """
 
-from dpsynth import dp, models, training
+import numpy as np
+
+from dpsynth import dp, models, nn, training
 from dpsynth.nn import LEAKY_RELU
 
 
@@ -63,3 +66,43 @@ def naive_run_phase(data, g, f, cfg, dp_cfg, sched, rngs):
             g.theta -= cfg.eta_theta * models.generator_grad(f, g, Zg, sched)
             gen_updates += 1
     return gen_updates
+
+
+def naive_generator_grad(f, g, Z_batch, sched):
+    """``models.generator_grad`` column by column: each column's dense-pair
+    gradient comes back from ``nn.backward`` as a new array and is copied
+    into place, and the column's penalty and freeze mask are applied inside
+    the loop, from its own ``np.column_stack([w_in, skip])``."""
+    Z_batch = np.asarray(Z_batch, dtype=np.float64)
+    X, caches = models._generator_forward(g, Z_batch)
+    B = X.shape[0]
+    _, dcaches = models.disc_forward_batch(f, X)
+    dX = -nn.backward(f.layers, dcaches, np.ones((B, 1)))[0] / B
+    lam = sched.values(g.d)
+
+    grad = np.empty_like(g.theta)
+    end = grad.size
+    for jj in range(g.d - 1, -1, -1):
+        s = g.subs[jj]
+        xbar = dX[:, jj]
+        z = Z_batch[:, jj]
+        prefix = X[:, :jj]
+        dfeat, dtail = nn.backward((s.hidden, s.out), caches[jj], xbar[:, None])
+        start = end - dtail.size - s.skip.size - s.w_in.size
+        dW = grad[start : start + s.w_in.size].reshape(s.w_in.shape)
+        dskip = grad[start + s.w_in.size : end - dtail.size]
+        grad[end - dtail.size : end] = dtail
+        dW[:jj] = prefix.T @ dfeat
+        dW[jj] = z @ dfeat
+        dskip[:jj] = xbar @ prefix
+        dskip[jj] = xbar @ z
+        if jj > 0:
+            dX[:, :jj] += np.outer(xbar, s.skip[:jj]) + dfeat @ s.w_in[:jj].T
+        if lam[jj] != 0.0:
+            sub = lam[jj] * models.group_lasso_subgrad(np.column_stack([s.w_in, s.skip]))
+            dW += sub[:, :-1]
+            dskip += sub[:, -1]
+        dW[s.frozen] = 0.0
+        dskip[s.frozen] = 0.0
+        end = start
+    return grad

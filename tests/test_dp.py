@@ -42,6 +42,27 @@ def test_clip_norm_never_exceeds_bound(dim, seed, clip):
     assert np.linalg.norm(dp.clip_grad(v, clip)) <= clip * (1 + 1e-12)
 
 
+def _clip_by_linalg_norm(grad, clip_norm):
+    norm = float(np.linalg.norm(grad))
+    if norm <= clip_norm or norm == 0.0:
+        return grad.copy()
+    return grad * (clip_norm / norm)
+
+
+def test_clip_matches_the_linalg_norm_formula_bit_for_bit():
+    rng = np.random.default_rng(5)
+    C = 1.0
+    at_c = rng.standard_normal(1411)
+    at_c /= np.linalg.norm(at_c)
+    assert np.linalg.norm(at_c) == C
+    rows = [rng.standard_normal(n) * s for n in (1, 7, 1411) for s in (0.1, 1.0, 30.0)]
+    rows += [np.zeros(1411), at_c, at_c * 1e-300, at_c * 1e200, rng.standard_normal(1411) * 1e200]
+    for row in rows:
+        with np.errstate(over="ignore"):  # both formulas overflow the 1e200 rows' squared norm to inf
+            got, want = dp.clip_grad(row, C), _clip_by_linalg_norm(row, C)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_privatize_sigma_zero_is_exact_clipped_mean():
     rng = np.random.default_rng(0)
     grads = rng.standard_normal((7, 5)) * 3

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from dpsynth import models, nn
 from dpsynth.errors import ShapeError, UsageError
 from dpsynth.nn import IDENTITY, LEAKY_RELU, DenseLayer
-from naive_models import naive_discriminator, naive_generator, naive_subgen
+from naive_models import naive_discriminator, naive_generator, naive_generator_grad, naive_subgen
 
 
 def zero_subgen(j, width=3):
@@ -299,6 +299,59 @@ def test_batch_disc_grads_match_per_example():
         assert abs(f_fake[i] - naive_discriminator(f, fake)) < 1e-12
 
 
+def test_disc_grads_reuse_one_buffer_bit_for_bit():
+    rng = np.random.default_rng(44)
+    g = models.random_generator(5, rng)
+    f = models.new_discriminator(5, 0.5, rng)
+    X = rng.standard_normal((12, 5))
+    fakes = models.sample_batch(g, rng.standard_normal((12, 5)))
+    buf = np.full((2, 8, f.nu.size), np.nan)
+    for B in (7, 3, 12):  # 12 is past the buffer's capacity of 8
+        fresh = models.disc_loss_grads_batch(f, X[:B], fakes[:B])
+        got = models.disc_loss_grads_batch(f, X[:B], fakes[:B], out=buf)
+        for a, b in zip(got, fresh):
+            np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+        assert np.shares_memory(got[0], buf) == (B <= 8)
+
+
+def _grad_cases(d, rng):
+    """Generators whose gradients exercise every branch of the penalty and
+    freeze pass: random, with all-zero groups, pruned, and loaded from a
+    checkpoint whose freeze mask also holds some noise slots."""
+    g = models.random_generator(d, rng)
+    f = models.new_discriminator(d, 0.5, rng)
+    yield "random", g, f
+    zeroed = models.random_generator(d, rng)
+    for s in zeroed.subs[1::2]:
+        s.w_in[0] = 0.0
+        s.skip[0] = 0.0
+    yield "zero groups", zeroed, f
+    yield "new", models.new_generator(d, rng), f  # every prefix group starts at norm 0
+    norms = np.concatenate(models.row_norms(g))
+    pruned, mask = models.prune(g, float(np.median(norms)) if norms.size else 0.0)  # about half the prefix slots
+    assert sum(int(m.sum()) for m in mask) >= norms.size // 2
+    yield "pruned", pruned, f
+    payload = models.checkpoint_dict(pruned, f)
+    for jj, m in enumerate(payload["freeze_mask"]):
+        if jj % 2 == 0:
+            m[-1] = True
+    loaded, f2 = models.from_checkpoint_dict(payload)
+    assert loaded.subs[0].frozen[-1]
+    yield "noise frozen", loaded, f2
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 30])
+@pytest.mark.parametrize("lam", [0.0, 0.01])
+def test_generator_grad_matches_per_column_oracle_bit_for_bit(d, lam):
+    rng = np.random.default_rng(100 + d)
+    sched = models.PenaltySchedule(lam, 0.3)
+    for name, g, f in _grad_cases(d, rng):
+        Z = rng.standard_normal((17, d))
+        got = models.generator_grad(f, g, Z, sched)
+        want = naive_generator_grad(f, g, Z, sched)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64), err_msg=name)
+
+
 def flat_slices(g):
     out, pos = [], 0
     for s in g.subs:
@@ -557,6 +610,8 @@ def test_shape_errors():
         models.disc_loss_grads_batch(f, np.zeros((4, 3)), np.zeros((3, 3)))  # real/fake pairing
     with pytest.raises(ShapeError):
         models.new_generator(0, rng)
+    with pytest.raises(ShapeError):
+        models.SequentialGenerator([zero_subgen(1, 2), zero_subgen(2, 3)])  # widths differ
     with pytest.raises(UsageError):
         models.new_discriminator(3, 0.0, rng)
 

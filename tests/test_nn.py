@@ -18,6 +18,31 @@ def test_leaky_relu_slope_one_is_identity(v):
     np.testing.assert_array_equal(nn.leaky_relu(v, slope=1.0), v)
 
 
+def test_leaky_relu_hand_values_at_special_points():
+    inf, nan = np.inf, np.nan
+    v = np.array([-0.0, 0.0, inf, -inf, nan, 3.0, -2.0, 5e-324, -5e-324])
+    want = {
+        0.0: [-0.0, 0.0, inf, nan, nan, 3.0, -0.0, 5e-324, -0.0],
+        0.2: [-0.0, 0.0, inf, -inf, nan, 3.0, -0.4, 5e-324, -0.0],
+        1.0: [-0.0, 0.0, inf, -inf, nan, 3.0, -2.0, 5e-324, -5e-324],
+    }
+    for slope, expected in want.items():
+        with np.errstate(invalid="ignore"):  # 0 * -inf
+            got = nn.leaky_relu(v, slope)
+        expected = np.array(expected)
+        np.testing.assert_array_equal(got, expected)
+        signed = ~np.isnan(expected)  # a NaN's sign bit is the platform's choice
+        np.testing.assert_array_equal(np.signbit(got[signed]), np.signbit(expected[signed]))
+
+
+def test_dense_layer_rejects_a_slope_outside_zero_one():
+    for slope in (0.0, 0.2, 1.0):
+        nn.DenseLayer(np.eye(2), np.zeros(2), nn.LEAKY_RELU, slope)
+    for slope in (-0.1, 1.5, np.nan):
+        with pytest.raises(UsageError):
+            nn.DenseLayer(np.eye(2), np.zeros(2), nn.LEAKY_RELU, slope)
+
+
 def test_init_dense_bounds_and_zero_bias():
     rng = np.random.default_rng(0)
     layer = nn.init_dense(7, 4, rng, activation=nn.LEAKY_RELU)
@@ -51,6 +76,25 @@ def test_backward_per_example_rows_sum_to_the_summed_gradient():
     assert summed.shape == params.shape and rows.shape == (6, params.size)
     np.testing.assert_allclose(rows.sum(axis=0), summed, rtol=0, atol=1e-12)
     np.testing.assert_array_equal(d_in_rows, d_in)
+
+
+def test_backward_fills_every_entry_of_out_and_returns_it():
+    rng = np.random.default_rng(2)
+    layers, params = _stack(rng)
+    X = rng.normal(size=(6, 3))
+    out, caches = nn.forward(layers, X)
+    delta = rng.normal(size=out.shape)
+    for per_example, shape in ((False, params.shape), (True, (6, params.size))):
+        d_in, fresh = nn.backward(layers, caches, delta, per_example)
+        buf = np.full(shape, np.nan)
+        d_in_buf, got = nn.backward(layers, caches, delta, per_example, out=buf)
+        assert got is buf
+        np.testing.assert_array_equal(buf.view(np.uint64), fresh.view(np.uint64))
+        np.testing.assert_array_equal(d_in_buf, d_in)
+    with pytest.raises(ShapeError):
+        nn.backward(layers, caches, delta, out=np.empty(params.size + 1))
+    with pytest.raises(ShapeError):
+        nn.backward(layers, caches, delta, per_example=True, out=np.empty(params.shape))
 
 
 def test_backward_matches_finite_differences():
