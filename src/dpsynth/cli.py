@@ -215,7 +215,6 @@ def cmd_generate(args) -> int:
             raise UsageError(
                 f"preprocessor covers {len(pre.names)} columns but model has {g.d}"
             )
-    out = _out_dir(args)
 
     rng = np.random.default_rng(args.seed)
     Z = rng.standard_normal((args.n, g.d))
@@ -224,6 +223,9 @@ def cmd_generate(args) -> int:
     table = tabular.Table(tuple(names), X)
     if pre is not None:
         table = tabular.inverse_transform(pre, table)
+    if not np.isfinite(table.values).all():
+        raise NumericError("the model generated non-finite values; nothing was written")
+    out = _out_dir(args)
     tabular.write_csv(table, out / "synthetic.csv")
     inputs = [args.model] + ([args.preprocessor] if args.preprocessor else [])
     _manifest(out, "generate", {"n": args.n}, args.seed, inputs, ["synthetic.csv"], t0)

@@ -414,7 +414,7 @@ def mlp_fit_predict(
     n = Xs.shape[0]
     for _ in range(iters):
         pred, caches = nn.forward(layers, Xs)
-        params -= lr * nn.backward(layers, caches, (pred - yn[:, None]) / n)[1]
+        params -= lr * nn.backward(layers, caches, (pred - yn[:, None]) / n, input_grad=False)[1]
     if not np.all(np.isfinite(params)):
         raise MetricError("downstream regressor diverged")
     Xt = (np.asarray(X_test, dtype=np.float64) - xm) / xs

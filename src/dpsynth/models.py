@@ -423,8 +423,9 @@ def disc_loss_grads_batch(f: Discriminator, X_real: np.ndarray, fakes: np.ndarra
     if out is None or out.shape[1] < B:
         out = np.empty((2, B, f.nu.size))
     ones = np.ones((B, 1))
-    grads = nn.backward(f.layers, fake_caches, ones, per_example=True, out=out[0, :B])[1]
-    nn.backward(f.layers, real_caches, -ones, per_example=True, out=out[1, :B])
+    # the critic's input gradient is not needed, so neither pass computes it
+    grads = nn.backward(f.layers, fake_caches, ones, per_example=True, out=out[0, :B], input_grad=False)[1]
+    nn.backward(f.layers, real_caches, -ones, per_example=True, out=out[1, :B], input_grad=False)
     np.add(grads, out[1, :B], out=grads)
     return grads, f_real, f_fake
 

@@ -109,15 +109,19 @@ def forward(layers, X: np.ndarray):
     return X, caches
 
 
-def backward(layers, caches, delta: np.ndarray, per_example: bool = False, out=None):
+def backward(
+    layers, caches, delta: np.ndarray, per_example: bool = False, out=None, input_grad: bool = True
+):
     """Backpropagate ``delta``, the (B, out) gradient at the stack's output.
 
-    Returns the (B, in) gradient at the input and the parameter gradients in
-    the stack's flat layout (per layer: weight row-major, then bias), summed
-    over the batch as a (P,) vector, or one row per example as (B, P) with
-    ``per_example``. Each layer's pieces are written straight into their
-    slices of ``out`` when it is given (a float64 array of that shape, every
-    entry overwritten, returned itself), else of a new array.
+    Returns the (B, in) gradient at the input (None with ``input_grad``
+    False, which skips the first layer's ``delta @ weight``) and the
+    parameter gradients in the stack's flat layout (per layer: weight
+    row-major, then bias), summed over the batch as a (P,) vector, or one row
+    per example as (B, P) with ``per_example``. Each layer's pieces are
+    written straight into their slices of ``out`` when it is given (a float64
+    array of that shape, every entry overwritten, returned itself), else of a
+    new array.
     """
     B = len(delta)
     P = sum(layer.weight.size + layer.bias.size for layer in layers)
@@ -127,7 +131,8 @@ def backward(layers, caches, delta: np.ndarray, per_example: bool = False, out=N
     elif out.shape != shape or out.dtype != np.float64:
         raise ShapeError(f"out is {out.dtype} {out.shape}, expected float64 {shape}")
     end = P
-    for layer, (xin, pre) in zip(reversed(layers), reversed(caches)):
+    for k in range(len(layers) - 1, -1, -1):
+        layer, (xin, pre) = layers[k], caches[k]
         if layer.activation == LEAKY_RELU:
             delta = delta * leaky_relu_grad(pre, layer.slope)
         n_out, n_in = layer.weight.shape
@@ -140,7 +145,7 @@ def backward(layers, caches, delta: np.ndarray, per_example: bool = False, out=N
         else:
             delta.sum(axis=0, out=out[b0:end])
             np.matmul(delta.T, xin, out=out[w0:b0].reshape(n_out, n_in))
-        delta = delta @ layer.weight
+        delta = delta @ layer.weight if k or input_grad else None
         end = w0
     return delta, out
 

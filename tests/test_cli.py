@@ -247,6 +247,29 @@ def test_checkpoint_sizes_are_checked_before_the_model_is_built(tmp_path):
     assert peak < 5e6  # building the d = 1500 generator first reached 210 MB
 
 
+def test_generate_refuses_non_finite_rows(tmp_path):
+    g = models.new_generator(3, np.random.default_rng(0))
+    f = models.new_discriminator(3, 0.5, np.random.default_rng(1))
+    huge = tmp_path / "huge.json"
+    g.theta[:] = 1e200  # finite, so it loads, but the rows overflow
+    models.save_checkpoint(huge, g, f)
+    g.theta[:] = 1.0
+    moderate = tmp_path / "moderate.json"
+    models.save_checkpoint(moderate, g, f)
+    pre = tabular.Preprocessor(("a", "b", "c"), np.zeros(3), np.full(3, 1e308))
+    tabular.save_preprocessor(tmp_path / "pre.json", pre)
+    cases = {
+        "huge_theta": ("--model", huge),
+        "overflowing_inverse_transform": ("--model", moderate, "--preprocessor", tmp_path / "pre.json"),
+    }
+    for name, flags in cases.items():
+        out = tmp_path / name
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run_cli("generate", *flags, "--n", 5, "--out", out) == 4, name
+        assert not (out / "synthetic.csv").exists() and not (out / "manifest.json").exists(), name
+    assert run_cli("generate", "--model", moderate, "--n", 5, "--out", tmp_path / "ok") == 0
+
+
 def test_generate_dimension_mismatch(tmp_path):
     sim = simulate(tmp_path)
     run = train(tmp_path, sim)

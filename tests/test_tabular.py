@@ -1,3 +1,6 @@
+import csv
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -45,6 +48,17 @@ def test_read_csv_small_file(tmp_path):
         ("a,b\n1,x\n", "column 'b'"),
         ("a,b\n1,2\n3,NaN\n", "line 3"),
         ("a,b\n1,inf\n", "non-finite"),
+        # the first bad cell in file order wins, whatever its kind
+        ("a,b\ninf,x\n", "line 2, column 'a': non-finite value 'inf'"),
+        ("a,b\nx,inf\n", "line 2, column 'a': not a number: 'x'"),
+        ("a,b\n1,2\n1,-inf\nx,2\n", "line 3, column 'b': non-finite value '-inf'"),
+        ("a,b\n1,2\n1,x\nnan,2\n", "line 3, column 'b': not a number: 'x'"),
+        ("a,b\n" + "1,2\n" * 255 + "1,1e999\nx,2\n", "line 257, column 'b': non-finite"),
+        ("a,b\n" + "1,2\n" * 255 + "1,?\nNaN,2\n", "line 257, column 'b': not a number: '?'"),
+        # blank lines are skipped but still counted
+        ("a,b\n1,2\n\n\n3,x\n", "line 5, column 'b': not a number"),
+        ("a,b\r\n\r\n1,2\r\n\r\n3,inf\r\n", "line 5, column 'b': non-finite"),
+        ("a,b\n\n1,2,3\n", "line 3 has 3 cells"),
     ],
 )
 def test_read_csv_locates_errors(tmp_path, body, needle):
@@ -53,6 +67,15 @@ def test_read_csv_locates_errors(tmp_path, body, needle):
     with pytest.raises(IngestionError) as exc:
         tabular.read_csv(p)
     assert needle in str(exc.value)
+
+
+def test_read_csv_accepts_rows_whose_sum_overflows(tmp_path):
+    p = tmp_path / "big.csv"
+    p.write_text("a,b\n1e308,1e308\n-1e308,-1.7976931348623157e308\n1e308,-1e308\n")
+    t = tabular.read_csv(p)
+    np.testing.assert_array_equal(
+        t.values, [[1e308, 1e308], [-1e308, -1.7976931348623157e308], [1e308, -1e308]]
+    )
 
 
 def test_csv_round_trip_exact(tmp_path):
@@ -66,6 +89,22 @@ def test_csv_round_trip_exact(tmp_path):
     np.testing.assert_array_equal(back.values, t.values)  # repr round-trips bit-exactly
 
 
+def reference_write_csv(table, path):
+    """The csv.writer loop write_csv must reproduce byte for byte."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(table.names)
+        for i in range(0, table.n, 1024):
+            writer.writerows(table.values[i : i + 1024].tolist())
+
+
+def _assert_same_bytes(table, tmp_path):
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    tabular.write_csv(table, got)
+    reference_write_csv(table, want)
+    assert got.read_bytes() == want.read_bytes()
+
+
 def test_write_csv_cells_are_float_reprs(tmp_path):
     # csv writes floats with str; the cells must stay the shortest
     # round-trip repr of every value, edge cases included
@@ -77,6 +116,37 @@ def test_write_csv_cells_are_float_reprs(tmp_path):
     want = "a,b\r\n" + "".join(f"{float(x)!r},{float(y)!r}\r\n" for x, y in vals)
     assert p.read_bytes() == want.encode()
     np.testing.assert_array_equal(tabular.read_csv(p).values, vals)
+    # the same bytes as csv.writer, also under names it must quote, and with no columns
+    _assert_same_bytes(tabular.Table(("a,b", 'q"'), vals), tmp_path)
+    assert (tmp_path / "got.csv").read_bytes().startswith(b'"a,b","q"""\r\n')
+    _assert_same_bytes(tabular.Table((" lead", "b"), vals), tmp_path)
+    _assert_same_bytes(tabular.Table((), np.empty((3, 0))), tmp_path)
+
+
+@pytest.mark.parametrize("d", [1, 3, 10, 30])  # blocks of 2560, 853, 256 and 85 rows
+@pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 1000, 2561])
+def test_write_csv_matches_the_csv_writer_byte_for_byte(tmp_path, n, d):
+    rng = np.random.default_rng(n * 31 + d)
+    names = tuple(f"c{j}" for j in range(d))
+    scaled = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-8, 9, (n, d))
+    _assert_same_bytes(tabular.Table(names, scaled), tmp_path)
+    bits = rng.integers(0, 2**64, size=(n, d), dtype=np.uint64)
+    _assert_same_bytes(tabular.Table(names, bits.view(np.float64)), tmp_path)  # NaN and inf too
+
+
+@pytest.mark.parametrize("n,d", [(25_000, 10), (5_000, 30)])
+def test_write_csv_memory_stays_bounded(tmp_path, n, d):
+    # the block bounds the Python floats and strings alive at once; a
+    # larger block shows up as a higher peak RSS in generate
+    vals = np.random.default_rng(5).standard_normal((n, d))
+    t = tabular.Table(tuple(f"x{j}" for j in range(d)), vals)
+    tracemalloc.start()
+    try:
+        tabular.write_csv(t, tmp_path / "big.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_fit_preprocessor_hand_values():
