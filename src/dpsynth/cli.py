@@ -44,7 +44,9 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _manifest(out: Path, command: str, config: dict, seed, inputs, outputs, t0: float) -> None:
+def _manifest(
+    out: Path, command: str, config: dict, seed, inputs, outputs, t0: float, timings=None
+) -> None:
     payload = {
         "command": command,
         "config": config,
@@ -54,6 +56,8 @@ def _manifest(out: Path, command: str, config: dict, seed, inputs, outputs, t0: 
         "outputs": sorted(outputs),
         "wall_clock": time.perf_counter() - t0,
     }
+    if timings is not None:
+        payload["timings"] = timings
     _write_json(out / "manifest.json", payload)
 
 
@@ -250,7 +254,14 @@ def cmd_evaluate(args) -> int:
     _write_json(out / "metrics.json", report.to_dict())
     config = {"bins": args.bins, "target": args.target}
     _manifest(
-        out, "evaluate", config, args.seed, [args.synthetic, args.test], ["metrics.json"], t0
+        out,
+        "evaluate",
+        config,
+        args.seed,
+        [args.synthetic, args.test],
+        ["metrics.json"],
+        t0,
+        timings=report.timings,
     )
     return 0
 

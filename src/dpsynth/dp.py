@@ -21,6 +21,7 @@ Usage sketch::
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -141,6 +142,16 @@ def _log_binom(n: int, k: int) -> float:
     return math.log(math.comb(n, k))
 
 
+# One (q, alpha) per accountant order; calibration bisects sigma over them.
+@functools.lru_cache(maxsize=512)
+def _sigma_free_terms(q: float, alpha: int) -> tuple:
+    """log C(alpha, k) + k log q + (alpha - k) log(1 - q) for k = 0..alpha:
+    each term of the RDP sum but its sigma part, summed in the same order."""
+    log_q = math.log(q)
+    log_1mq = math.log1p(-q)
+    return tuple(_log_binom(alpha, k) + k * log_q + (alpha - k) * log_1mq for k in range(alpha + 1))
+
+
 def rdp_subsampled_gaussian(q: float, sigma: float, alpha: int) -> float:
     """One-step RDP of order alpha for Poisson sampling rate q and noise sigma."""
     if not (0.0 <= q <= 1.0):
@@ -156,12 +167,8 @@ def rdp_subsampled_gaussian(q: float, sigma: float, alpha: int) -> float:
         return math.inf
     if q == 1.0:
         return alpha / (2.0 * sigma**2)
-    log_q = math.log(q)
-    log_1mq = math.log1p(-q)
-    terms = [
-        _log_binom(alpha, k) + k * log_q + (alpha - k) * log_1mq + (k * k - k) / (2.0 * sigma**2)
-        for k in range(alpha + 1)
-    ]
+    two_var = 2.0 * sigma**2
+    terms = [t + (k * k - k) / two_var for k, t in enumerate(_sigma_free_terms(q, alpha))]
     peak = max(terms)
     total = peak + math.log(sum(math.exp(t - peak) for t in terms))
     return max(0.0, total / (alpha - 1))

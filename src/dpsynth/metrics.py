@@ -11,14 +11,22 @@ the (n, m, d) difference tensor of whole tables. They walk the distances in
 tiles held in one reused 1 MB buffer, so memory stays bounded at any row
 count. A tile is built column-major, one slab per column, and its slabs are
 summed in numpy's own reduction order, so each squared distance is bit for
-bit what the dense tensor gives. The median is an exact selection over the
-tiles, bit-identical to ``np.median`` of all pairwise distances; MMD sums its
-Gram blocks tile by tile.
+bit what the dense tensor gives. MMD sums its Gram blocks tile by tile.
+
+The median is an exact selection over the tiles, bit-identical to
+``np.median`` of all pairwise distances. A pool with at most _GATHER_MAX
+pairs is gathered whole in one walk. Above that, the squared distances of
+2^16 random row pairs bracket the two middle ranks, and one walk counts the
+distances below the bracket and gathers those inside it; the ranks are read
+off the gathered keys. Only when that bracket misses the ranks, overflows
+its array, or would hold more than _GATHER_MAX keys (ties) does the
+selection fall back to radix counting passes over the key bits.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -207,6 +215,12 @@ _TILE_COLS = 128
 # gathers an order statistic's candidates once at most _GATHER_MAX remain.
 _DIGIT_BITS = 16
 _GATHER_MAX = 1 << 20
+# Above _GATHER_MAX pairs, selection first brackets its ranks from the
+# squared distances of _SAMPLE_PAIRS random row pairs (fixed seed), at
+# _BRACKET_SDS binomial standard deviations either side. At 2,000 + 2,000
+# rows the bracket holds about 1/64 of the pairs.
+_SAMPLE_PAIRS = 1 << 16
+_BRACKET_SDS = 4.0
 
 
 def _sum_slabs(S: np.ndarray) -> np.ndarray:
@@ -267,21 +281,99 @@ def _sq_dist_tiles(X: np.ndarray, Y: np.ndarray, upper: bool = False):
             yield sq[above[: i1 - i0, : j1 - j0]] if upper and j0 == i0 else sq.ravel()
 
 
+def _sampled_sq_dists(X: np.ndarray, size: int) -> np.ndarray:
+    """Squared distances of ``size`` row pairs i != j of X, drawn uniformly
+    at random with a fixed seed, computed in blocks of at most _TILE_FLOATS
+    floats. They only place a bracket, so their summation order is free."""
+    n, d = X.shape
+    rng = np.random.default_rng(0)
+    out = np.empty(size)
+    step = max(1, _TILE_FLOATS // max(2 * d, 1))
+    for s0 in range(0, size, step):
+        m = min(step, size - s0)
+        i = rng.integers(0, n, m)
+        j = rng.integers(0, n - 1, m)
+        j += j >= i
+        diff = X[i]
+        diff -= X[j]
+        np.square(diff, out=diff)
+        diff.sum(axis=1, out=out[s0 : s0 + m])
+    return out
+
+
+def _bracket(X: np.ndarray, ranks, pairs: int):
+    """(lo, hi, capacity): keys that bracket every rank among the ``pairs``
+    squared distances of X with high probability, and the number of keys in
+    [lo, hi] to make room for, both read off a sorted random sample.
+
+    The number of sample keys below the rank-r distance is binomial with
+    p = r / pairs, so lo and hi sit _BRACKET_SDS standard deviations beyond
+    the sample positions of the lowest and highest rank. The share of
+    distances inside is the sample's share, plus the same margin."""
+    keys = _sampled_sq_dists(X, _SAMPLE_PAIRS).view(np.uint64)
+    keys.sort()
+    s = keys.size
+
+    def position(rank: int, side: int) -> float:
+        p = rank / pairs
+        return s * p + side * _BRACKET_SDS * math.sqrt(s * p * (1.0 - p))
+
+    a, b = math.floor(position(min(ranks), -1)), math.ceil(position(max(ranks) + 1, 1))
+    lo = keys[a] if a >= 0 else np.uint64(0)
+    hi = keys[b] if b < s else np.uint64((1 << 64) - 1)
+    share = (np.searchsorted(keys, hi, side="right") - np.searchsorted(keys, lo)) / s
+    capacity = math.ceil(pairs * (share + _BRACKET_SDS * math.sqrt(share * (1.0 - share) / s)))
+    return lo, hi, capacity
+
+
+def _bracket_select(X: np.ndarray, ranks, pairs: int):
+    """Values at ``ranks`` among the squared distances of X's row pairs from
+    one walk, or None when the bracket would hold more than _GATHER_MAX keys,
+    overflows its array, or misses a rank."""
+    lo, hi, capacity = _bracket(X, ranks, pairs)
+    if capacity > _GATHER_MAX:
+        return None
+    kept = np.empty(capacity, dtype=np.uint64)
+    below = filled = 0
+    for sq in _sq_dist_tiles(X, X, upper=True):
+        keys = sq.view(np.uint64)
+        below += np.count_nonzero(keys < lo)
+        sel = keys[(keys >= lo) & (keys <= hi)]
+        if filled + sel.size > capacity:
+            return None
+        kept[filled : filled + sel.size] = sel
+        filled += sel.size
+    if below > min(ranks) or max(ranks) >= below + filled:
+        return None
+    inside = kept[:filled]
+    inside.partition(sorted({r - below for r in ranks}))
+    return [float(inside.view(np.float64)[r - below]) for r in ranks]
+
+
 def _pair_order_statistics(X: np.ndarray, ranks) -> list:
     """Exact values at the given 0-based ranks among the squared distances of
     all row pairs i < j of X, in memory bounded by the tile and gather sizes.
 
-    A non-negative float64 sorts like its uint64 bit pattern, its key. Each
-    rank is narrowed to a group, the keys that share a known top-bit prefix.
-    A counting pass histograms the next _DIGIT_BITS bits of the group's keys
-    and keeps the bucket that holds the rank. A group whose keys are all
-    equal, or whose prefix is all 64 bits, is the value itself, so ties never
-    grow the gathered set. A group of at most _GATHER_MAX keys is copied
-    into one array of the group's size in one more pass, and the rank is
-    read off with ``np.partition``."""
+    A non-negative float64 sorts like its uint64 bit pattern, its key. Above
+    _GATHER_MAX pairs, one walk first gathers the keys inside a sampled
+    bracket (``_bracket_select``); when the bracket holds every rank, that
+    is the answer. Otherwise, and always at or below _GATHER_MAX pairs, the
+    radix passes run: each rank is narrowed to a group, the keys that share
+    a known top-bit prefix. A counting pass histograms the next _DIGIT_BITS
+    bits of the group's keys and keeps the bucket that holds the rank. A
+    group whose keys are all equal, or whose prefix is all 64 bits, is the
+    value itself, so ties never grow the gathered set. A group of at most
+    _GATHER_MAX keys (the whole pool, when it is that small) is copied into
+    one array of the group's size in one more pass, and the rank is read
+    off with ``np.partition``."""
     n = X.shape[0]
+    pairs = n * (n - 1) // 2
+    if pairs > _GATHER_MAX:
+        found = _bracket_select(X, ranks, pairs)
+        if found is not None:
+            return found
     # rank -> (prefix, fixed bits, rank within the group, group size)
-    todo = {k: (0, 0, k, n * (n - 1) // 2) for k in ranks}
+    todo = {k: (0, 0, k, pairs) for k in ranks}
     found = {}
     while todo:
         groups = {(p, f): size for p, f, _, size in todo.values()}
@@ -327,8 +419,10 @@ def median_bandwidth(a, b) -> float:
 
     Exact, and bit-identical to ``np.median`` over all N(N-1)/2 distances,
     without holding them: the two middle squared distances are selected
-    tile by tile (``_pair_order_statistics``) and the result is the mean of
-    their square roots, ``np.median``'s rule (sqrt is monotone)."""
+    tile by tile (``_pair_order_statistics``), in one walk over the pairs
+    when a sampled bracket holds both ranks and with radix counting passes
+    when it does not, and the result is the mean of their square roots,
+    ``np.median``'s rule (sqrt is monotone)."""
     A, B = _matrix_pair(a, b)
     pool = np.vstack([A, B])
     pairs = pool.shape[0] * (pool.shape[0] - 1) // 2
@@ -458,9 +552,13 @@ class MetricReport:
     js: float
     downstream: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
+    # seconds per metric; off the dict, which must reproduce byte for byte
+    timings: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        out = asdict(self)
+        del out["timings"]
+        return out
 
 
 def metric_report(
@@ -472,19 +570,31 @@ def metric_report(
     models=("ridge",),
     seed: int = 0,
 ) -> MetricReport:
-    """All metrics of the synthetic table against the held-out table."""
+    """All metrics of the synthetic table against the held-out table, with
+    the wall time of each in ``timings`` (the bandwidth's only when it is
+    computed here, ``downstream.<model>`` per downstream model)."""
+    timings = {}
+
+    def timed(name, fn, *args):
+        t0 = time.perf_counter()
+        value = fn(*args)
+        timings[name] = time.perf_counter() - t0
+        return value
+
     grid = fit_grid(test, bins)
     mean2, sum2 = (
-        tvd_2way(synthetic, test, grid) if test.d >= 2 else (math.nan, math.nan)
+        timed("tvd_2way", tvd_2way, synthetic, test, grid) if test.d >= 2 else (math.nan, math.nan)
     )
-    used_bandwidth = bandwidth if bandwidth is not None else median_bandwidth(synthetic, test)
+    used_bandwidth = (
+        bandwidth if bandwidth is not None else timed("bandwidth", median_bandwidth, synthetic, test)
+    )
     report = MetricReport(
-        wd=wd_table(synthetic, test),
+        wd=timed("wd", wd_table, synthetic, test),
         tvd_2way=mean2,
         tvd_2way_sum=sum2,
-        tvd_1way=tvd_1way(synthetic, test, grid),
-        mmd=mmd(synthetic, test, used_bandwidth),
-        js=js_divergence(synthetic, test, grid),
+        tvd_1way=timed("tvd_1way", tvd_1way, synthetic, test, grid),
+        mmd=timed("mmd", mmd, synthetic, test, used_bandwidth),
+        js=timed("js", js_divergence, synthetic, test, grid),
         meta={
             "bins": bins,
             "bandwidth": used_bandwidth,
@@ -492,8 +602,11 @@ def metric_report(
             "n_test": test.n,
             "tvd_headline": "mean over pairs",
         },
+        timings=timings,
     )
     if target is not None:
         for model in models:
-            report.downstream.append(downstream_efficacy(synthetic, test, target, model, seed))
+            report.downstream.append(
+                timed(f"downstream.{model}", downstream_efficacy, synthetic, test, target, model, seed)
+            )
     return report

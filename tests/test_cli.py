@@ -335,6 +335,24 @@ def test_evaluate_with_target_and_mismatch(tmp_path):
     assert rc == 2
 
 
+def test_evaluate_times_each_metric_in_the_manifest_only(tmp_path):
+    sim = simulate(tmp_path)
+    gen = simulate(tmp_path, "sim2", seed=4)
+    outs = [tmp_path / "eval_a", tmp_path / "eval_b"]
+    for out in outs:
+        rc = run_cli("evaluate", "--synthetic", gen / "data.csv", "--test", sim / "data.csv",
+                     "--target", "x4", "--out", out)
+        assert rc == 0
+    report = json.loads((outs[0] / "metrics.json").read_text())
+    timings = json.loads((outs[0] / "manifest.json").read_text())["timings"]
+    metric_fields = {"wd", "tvd_2way", "tvd_1way", "mmd", "js"}
+    assert metric_fields <= set(report)
+    assert set(timings) == metric_fields | {"bandwidth", "downstream.ridge"}
+    assert all(isinstance(t, float) and t >= 0.0 for t in timings.values())
+    assert "timings" not in report
+    assert (outs[0] / "metrics.json").read_bytes() == (outs[1] / "metrics.json").read_bytes()
+
+
 def test_account_forward_matches_library(tmp_path, capsys):
     assert run_cli("account", "--n", 12384, "--batch", 50, "--sigma", 2.0, "--steps", 7000) == 0
     got = json.loads(capsys.readouterr().out)

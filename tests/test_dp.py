@@ -105,6 +105,32 @@ def test_rdp_matches_high_precision_series():
         assert abs(got - want) < 1e-10, (q, sigma, alpha)
 
 
+def rdp_uncached(q, sigma, alpha):
+    """The accountant's formula with every term built in full on each call."""
+    log_q, log_1mq = math.log(q), math.log1p(-q)
+    terms = [
+        math.log(math.comb(alpha, k)) + k * log_q + (alpha - k) * log_1mq + (k * k - k) / (2.0 * sigma**2)
+        for k in range(alpha + 1)
+    ]
+    peak = max(terms)
+    return max(0.0, (peak + math.log(sum(math.exp(t - peak) for t in terms))) / (alpha - 1))
+
+
+def test_cached_rdp_terms_match_the_full_formula_bit_for_bit():
+    for q in (1e-9, 50 / 12384, 0.004, 0.05, 0.3, 0.9, 1 - 1e-12):
+        for sigma in (0.01, 0.3, 0.7, 1.1387463605011234, 2.0, 8.0, 1e3):
+            for alpha in (*range(2, 65), 128, 256):
+                assert dp.rdp_subsampled_gaussian(q, sigma, alpha) == rdp_uncached(q, sigma, alpha)
+
+
+def test_calibration_is_unchanged_by_the_term_cache():
+    q, steps, delta = 50 / 12384, 500, 1e-5
+    dp._sigma_free_terms.cache_clear()
+    sigma = dp.calibrate_sigma(dp.PrivacySpec(1.0, delta), q, steps)
+    assert sigma == 1.1387463605011234
+    assert dp.calibrate_sigma(dp.PrivacySpec(1.0, delta), q, steps) == sigma  # from the cache
+
+
 def test_rdp_limits_and_monotonicity():
     assert dp.rdp_subsampled_gaussian(0.0, 2.0, 8) == 0.0
     assert dp.rdp_subsampled_gaussian(1e-9, 2.0, 8) < 1e-12

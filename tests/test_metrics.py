@@ -270,6 +270,106 @@ def test_pairwise_metrics_run_in_bounded_memory(kind):
     assert peak < 32e6
 
 
+# Above _GATHER_MAX pairs the median first gathers a sampled bracket in one
+# walk and falls back to the counting passes when it misses or overflows.
+# A lowered _GATHER_MAX puts 600-row pools (about 180,000 pairs, a bracket of
+# about 3,000 keys) on that path.
+_BRACKET_GATHER_MAX = 1 << 14
+
+
+def _count_walks(monkeypatch) -> list:
+    walks = []
+    tiles = metrics._sq_dist_tiles
+
+    def counted(X, Y, upper=False):
+        walks.append(upper)
+        return tiles(X, Y, upper)
+
+    monkeypatch.setattr(metrics, "_sq_dist_tiles", counted)
+    return walks
+
+
+def _bracket_returning(monkeypatch, change):
+    bracket = metrics._bracket
+    monkeypatch.setattr(metrics, "_bracket", lambda X, ranks, pairs: change(*bracket(X, ranks, pairs)))
+
+
+@pytest.mark.parametrize("d", [1, 10, 30])
+@pytest.mark.parametrize("n_a", [300, 302])
+def test_bracket_median_matches_dense_formula_in_one_walk(n_a, d, monkeypatch):
+    monkeypatch.setattr(metrics, "_GATHER_MAX", _BRACKET_GATHER_MAX)
+    walks = _count_walks(monkeypatch)
+    rng = np.random.default_rng(300 + d)
+    A = rng.standard_normal((n_a, d)) * rng.uniform(0.5, 2.0, d)
+    B = 1.5 * rng.standard_normal((300, d)) + 0.2
+    pairs = (n_a + 300) * (n_a + 299) // 2
+    assert pairs % 2 == (n_a == 302)  # both parities of the pair count
+    assert metrics.median_bandwidth(A, B) == nm.dense_median_bandwidth(A, B)
+    assert walks == [True]
+
+
+def _empty_bracket(mp):
+    _bracket_returning(mp, lambda lo, hi, cap: (lo, lo, cap))
+
+
+def _bracket_above_the_ranks(mp):
+    _bracket_returning(mp, lambda lo, hi, cap: (hi + np.uint64(1), hi + np.uint64(2), cap))
+
+
+def _shifted_sample(mp):
+    sample = metrics._sampled_sq_dists
+    mp.setattr(metrics, "_sampled_sq_dists", lambda X, size: 4.0 * sample(X, size))
+
+
+@pytest.mark.parametrize("miss", [_empty_bracket, _bracket_above_the_ranks, _shifted_sample])
+def test_bracket_miss_falls_back_to_counting_passes(miss, monkeypatch):
+    monkeypatch.setattr(metrics, "_GATHER_MAX", _BRACKET_GATHER_MAX)
+    miss(monkeypatch)
+    walks = _count_walks(monkeypatch)
+    rng = np.random.default_rng(31)
+    A, B = rng.standard_normal((350, 6)), rng.standard_normal((250, 6)) + 0.3
+    assert metrics.median_bandwidth(A, B) == nm.dense_median_bandwidth(A, B)
+    assert len(walks) == 3  # the bracket, a counting pass, a gather
+
+
+@pytest.mark.parametrize("overflow", [False, True], ids=["fits", "overflows"])
+@pytest.mark.parametrize("make", [_binary, _duplicate_rows], ids=["binary", "duplicate_rows"])
+def test_bracket_median_is_exact_on_ties(make, overflow, monkeypatch):
+    A, B = make(np.random.default_rng(21))
+    pairs = 700 * 699 // 2
+    monkeypatch.setattr(metrics, "_GATHER_MAX", pairs - 1)
+    if overflow:
+        _bracket_returning(monkeypatch, lambda lo, hi, cap: (lo, hi, cap // 2))
+    walks = _count_walks(monkeypatch)
+    assert metrics.median_bandwidth(A, B) == nm.dense_median_bandwidth(A, B)
+    assert len(walks) == (3 if overflow else 1)  # the bracket, a counting pass, a gather
+
+
+def test_median_takes_one_walk_above_and_at_most_gather_max():
+    rng = np.random.default_rng(33)
+    for rows in (2000, 500):
+        A, B = rng.standard_normal((rows, 10)), rng.standard_normal((rows, 10)) + 0.1
+        pool_pairs = rows * (2 * rows - 1)
+        assert (pool_pairs > metrics._GATHER_MAX) == (rows == 2000)
+        with pytest.MonkeyPatch.context() as mp:
+            walks = _count_walks(mp)
+            assert metrics.median_bandwidth(A, B) > 0.0
+        assert walks == [True]
+
+
+def test_bracket_median_peak_memory():
+    rng = np.random.default_rng(34)
+    A, B = rng.standard_normal((2000, 10)), rng.standard_normal((2000, 10)) * 1.2 + 0.1
+    tracemalloc.start()
+    try:
+        metrics.median_bandwidth(A, B)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the two counting passes that ran here before the bracket peaked at 5.1 MB
+    assert peak < 4.0e6
+
+
 def test_tvd_row_permutation_invariant_and_symmetric():
     rng = np.random.default_rng(4)
     A = rng.standard_normal((15, 2))

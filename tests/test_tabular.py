@@ -149,6 +149,34 @@ def test_write_csv_memory_stays_bounded(tmp_path, n, d):
     assert peak < 1_000_000
 
 
+@pytest.mark.parametrize("d", [1, 3, 10, 30])  # blocks of 2560, 853, 256 and 85 rows
+@pytest.mark.parametrize("n", [1, 84, 85, 86, 255, 256, 257, 2561])
+def test_read_csv_round_trips_across_block_edges(tmp_path, n, d):
+    vals = np.random.default_rng(n * 37 + d).standard_normal((n, d)) * 1e3
+    t = tabular.Table(tuple(f"x{j}" for j in range(d)), vals)
+    p = tmp_path / "t.csv"
+    tabular.write_csv(t, p)
+    back = tabular.read_csv(p)
+    assert back.values.shape == (n, d) and back.values.flags.c_contiguous
+    np.testing.assert_array_equal(back.values, vals)
+
+
+def test_read_csv_runs_in_bounded_memory(tmp_path):
+    # a list of Python floats per row peaked at 13.6 MB on this table; its
+    # array is 2 MB, and the blocks it is joined from 2 MB more
+    vals = np.random.default_rng(6).standard_normal((25_000, 10))
+    p = tmp_path / "big.csv"
+    tabular.write_csv(tabular.Table(tuple(f"x{j}" for j in range(10)), vals), p)
+    tracemalloc.start()
+    try:
+        back = tabular.read_csv(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(back.values, vals)
+    assert peak <= 6_000_000
+
+
 def test_fit_preprocessor_hand_values():
     t = tabular.Table(("a",), np.array([[0.0], [2.0]]))
     p = tabular.fit_preprocessor(t)
