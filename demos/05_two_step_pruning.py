@@ -2,7 +2,7 @@
 
 The group penalty shrinks each input's whole dependence, its input-map row
 together with its skip entry, so a small row norm is evidence that a column
-does not need that dependency. The two-step trainer
+does not need that dependency. With ``two_step=True`` the trainer
 thresholds those norms midway: rows below tau are zeroed and frozen, and
 phase two retrains only the surviving structure. Both phases draw from the
 same privacy ledger, so the final epsilon covers the whole pipeline.
@@ -20,9 +20,9 @@ data = tabular.transform(tabular.fit_preprocessor(raw), raw)
 
 cfg = training.TrainConfig(
     steps=1200, batch=60, t_g=5, eta_theta=0.05, eta_nu=0.1, clamp=0.5,
-    lam=0.003, tau=0.05, seed=11, dp=dp.DpConfig(noise_multiplier=1.0),
+    lam=0.003, tau=0.05, seed=11, dp=dp.DpConfig(noise_multiplier=1.0), two_step=True,
 )
-g, _, report = training.train_two_step(data, cfg)
+g, _, report = training.train(data, cfg)
 
 print(f"phase 1 budget: epsilon = {report.epsilon_phase1:.3f}")
 print(f"both phases:    epsilon = {report.epsilon:.3f} at delta = {report.delta:g}")

@@ -51,13 +51,10 @@ from .models import (
     SubGenerator,
     clip_weights,
     generator_grad,
-    group_lasso,
     group_lasso_subgrad,
     load_checkpoint,
     new_discriminator,
     new_generator,
-    objective_delta,
-    penalized_objective,
     prune,
     row_norms,
     save_checkpoint,
@@ -84,6 +81,6 @@ from .tabular import (
     transform,
     write_csv,
 )
-from .training import TrainConfig, TrainReport, poisson_batch, train, train_two_step
+from .training import TrainConfig, TrainReport, poisson_batch, train
 
 __version__ = "0.1.0"

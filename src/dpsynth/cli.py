@@ -41,7 +41,8 @@ def _sha256(path: Path) -> str:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    # strict JSON: an undefined value is written as null, never as a NaN token
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _manifest(
@@ -118,7 +119,7 @@ def _config_value_ok(value, default) -> bool:
     return isinstance(value, int if isinstance(default, int) else (int, float))
 
 
-def _resolve_train_config(args) -> training.TrainConfig:
+def _resolve_train_config(args) -> tuple[training.TrainConfig, float | None]:
     values = {f: getattr(training.TrainConfig, f) for f in TRAIN_FIELDS}
     values["sigma"] = None
     values["epsilon"] = None
@@ -159,6 +160,12 @@ def _resolve_train_config(args) -> training.TrainConfig:
     return cfg, values["epsilon"]
 
 
+def _train_record(cfg: training.TrainConfig) -> dict:
+    """A manifest's record of a train config: every TRAIN_FIELDS value, the
+    clip norm and delta; ``train`` adds sigma, ``benchmark`` sweeps it."""
+    return dict({f: getattr(cfg, f) for f in TRAIN_FIELDS}, clip=cfg.dp.clip_norm, delta=cfg.dp.delta)
+
+
 def cmd_train(args) -> int:
     t0 = time.perf_counter()
     cfg, target_epsilon = _resolve_train_config(args)
@@ -167,7 +174,7 @@ def cmd_train(args) -> int:
 
     if target_epsilon is not None:
         # two-step training runs cfg.steps per phase, and the ledger composes both
-        q = cfg.batch / data.n
+        q = dp.sample_rate(data.n, cfg.batch)
         sigma = dp.calibrate_sigma(
             dp.PrivacySpec(target_epsilon, cfg.dp.delta), q, cfg.steps * (2 if cfg.two_step else 1)
         )
@@ -180,18 +187,10 @@ def cmd_train(args) -> int:
     models.save_checkpoint(out / "checkpoint.json", g, f)
     tabular.save_preprocessor(out / "preprocessor.json", pre)
     _write_json(out / "report.json", report.to_dict())
-    config = {f: getattr(cfg, f) for f in TRAIN_FIELDS}
-    config.update(
-        {
-            "sigma": cfg.dp.noise_multiplier,
-            "clip": cfg.dp.clip_norm,
-            "delta": cfg.dp.delta,
-        }
-    )
     _manifest(
         out,
         "train",
-        config,
+        dict(_train_record(cfg), sigma=cfg.dp.noise_multiplier),
         cfg.seed,
         [args.data],
         ["checkpoint.json", "preprocessor.json", "report.json"],
@@ -248,16 +247,14 @@ def cmd_evaluate(args) -> int:
             f"column mismatch: synthetic has {synthetic.names}, test has {test.names}"
         )
     out = _out_dir(args)
-    report = metrics.metric_report(
-        synthetic, test, bins=args.bins, target=args.target, seed=args.seed
-    )
+    report = metrics.metric_report(synthetic, test, bins=args.bins, target=args.target)
     _write_json(out / "metrics.json", report.to_dict())
     config = {"bins": args.bins, "target": args.target}
     _manifest(
         out,
         "evaluate",
         config,
-        args.seed,
+        None,
         [args.synthetic, args.test],
         ["metrics.json"],
         t0,
@@ -277,7 +274,7 @@ def cmd_account(args) -> int:
         raise UsageError("one of --sigma (forward) or --epsilon (calibration) is required")
     sigma = args.sigma
     if args.epsilon is not None:
-        q = args.batch / args.n
+        q = dp.sample_rate(args.n, args.batch)
         sigma = dp.calibrate_sigma(dp.PrivacySpec(args.epsilon, args.delta), q, args.steps)
     report = dp.account_report(args.n, args.batch, sigma, args.steps, args.delta)
     if args.epsilon is not None:
@@ -351,7 +348,7 @@ def cmd_benchmark(args) -> int:
         writer = csv.DictWriter(fh, fieldnames=["param", "sigma", "seed", "wd", "tvd", "mmd", "js"])
         writer.writeheader()
         writer.writerows(rows)
-    config = {f: getattr(base, f) for f in TRAIN_FIELDS}
+    config = _train_record(base)
     config.update(
         {
             "sweep": args.sweep,
@@ -362,8 +359,6 @@ def cmd_benchmark(args) -> int:
             "d": args.d,
             "n": args.n,
             "kind": args.kind,
-            "clip": base.dp.clip_norm,
-            "delta": base.dp.delta,
         }
     )
     _manifest(out, "benchmark", config, None, [], ["sweep.csv"], t0)
@@ -432,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test", required=True)
     p.add_argument("--target", help="column for downstream-model efficacy")
     p.add_argument("--bins", type=int, default=metrics.DEFAULT_BINS)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_evaluate)
 

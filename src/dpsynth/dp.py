@@ -52,10 +52,10 @@ class DpConfig:
     delta: float = DEFAULT_DELTA
 
     def __post_init__(self):
-        if self.clip_norm <= 0:
-            raise UsageError(f"clip_norm must be positive, got {self.clip_norm}")
-        if self.noise_multiplier < 0:
-            raise UsageError(f"noise_multiplier must be >= 0, got {self.noise_multiplier}")
+        if not 0 < self.clip_norm < math.inf:
+            raise UsageError(f"clip_norm must be positive and finite, got {self.clip_norm}")
+        if not 0 <= self.noise_multiplier < math.inf:
+            raise UsageError(f"noise_multiplier must be finite and >= 0, got {self.noise_multiplier}")
         if self.sample_rate is not None and not (0.0 < self.sample_rate <= 1.0):
             raise UsageError(f"sample_rate must lie in (0, 1], got {self.sample_rate}")
         self.orders = tuple(int(a) for a in self.orders)
@@ -260,6 +260,15 @@ def calibrate_sigma(target: PrivacySpec, q: float, steps: int, orders=DEFAULT_OR
     raise CalibrationError("bisection failed to land in the target band")
 
 
+def sample_rate(n: int, batch: int) -> float:
+    """Poisson sampling rate batch / n of an expected batch out of n rows."""
+    if n < 1 or batch < 1:
+        raise UsageError(f"n and batch must be >= 1, got n={n}, batch={batch}")
+    if batch > n:
+        raise UsageError(f"batch {batch} exceeds n {n}")
+    return batch / n
+
+
 def account_report(
     n: int,
     batch: int,
@@ -269,11 +278,7 @@ def account_report(
     orders=DEFAULT_ORDERS,
 ) -> dict:
     """JSON-ready accounting summary for a planned or finished run."""
-    if n < 1 or batch < 1:
-        raise UsageError(f"n and batch must be >= 1, got n={n}, batch={batch}")
-    if batch > n:
-        raise UsageError(f"batch {batch} exceeds n {n}")
-    q = batch / n
+    q = sample_rate(n, batch)
     cfg = DpConfig(clip_norm=1.0, noise_multiplier=sigma, sample_rate=q, orders=orders, delta=delta)
     ledger = ledger_compose(new_ledger(orders, delta), cfg, steps)
     non_private = sigma == 0.0

@@ -31,7 +31,6 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import nn
 from .errors import MetricError, ShapeError, UsageError
 from .tabular import Table
 
@@ -483,59 +482,21 @@ def ridge_fit_predict(X_train, y_train, X_test, lam: float = RIDGE_LAMBDA) -> np
     return (np.asarray(X_test, dtype=np.float64) - xm) @ beta + ym
 
 
-def mlp_fit_predict(
-    X_train,
-    y_train,
-    X_test,
-    hidden: int = 16,
-    iters: int = 500,
-    lr: float = 0.05,
-    seed: int = 0,
-) -> np.ndarray:
-    """Small one-hidden-layer regressor on standardized features/target,
-    trained full-batch; deterministic for a fixed seed."""
-    X_train = np.asarray(X_train, dtype=np.float64)
-    y_train = np.asarray(y_train, dtype=np.float64)
-    xm, xs = X_train.mean(axis=0), X_train.std(axis=0)
-    xs = np.where(xs > 0, xs, 1.0)
-    ym, ys = y_train.mean(), y_train.std()
-    ys = ys if ys > 0 else 1.0
-    Xs = (X_train - xm) / xs
-    yn = (y_train - ym) / ys
-    rng = np.random.default_rng(seed)
-    layers = (nn.init_dense(hidden, Xs.shape[1], rng, activation=nn.LEAKY_RELU), nn.init_dense(1, hidden, rng))
-    params = nn.gather([(layer, ("weight", "bias")) for layer in layers])
-    n = Xs.shape[0]
-    for _ in range(iters):
-        pred, caches = nn.forward(layers, Xs)
-        params -= lr * nn.backward(layers, caches, (pred - yn[:, None]) / n, input_grad=False)[1]
-    if not np.all(np.isfinite(params)):
-        raise MetricError("downstream regressor diverged")
-    Xt = (np.asarray(X_test, dtype=np.float64) - xm) / xs
-    return nn.forward(layers, Xt)[0][:, 0] * ys + ym
-
-
-def downstream_efficacy(train: Table, test: Table, target: str, model: str = "ridge", seed: int = 0) -> dict:
-    """Fit on (synthetic) train, score on (real) test; r2 and rmse are on the
-    test target's original scale."""
+def downstream_efficacy(train: Table, test: Table, target: str) -> dict:
+    """Fit ridge on (synthetic) train, score on (real) test; r2 and rmse are
+    on the test target's original scale."""
     if train.names != test.names:
         raise UsageError("train/test column names differ")
     Xtr, ytr = _feature_split(train, target)
     Xte, yte = _feature_split(test, target)
-    if model == "ridge":
-        pred = ridge_fit_predict(Xtr, ytr, Xte)
-    elif model == "small_mlp":
-        pred = mlp_fit_predict(Xtr, ytr, Xte, seed=seed)
-    else:
-        raise UsageError(f"unknown downstream model {model!r}")
-    resid = yte - pred
+    resid = yte - ridge_fit_predict(Xtr, ytr, Xte)
     ss_res = float((resid**2).sum())
     ss_tot = float(((yte - yte.mean()) ** 2).sum())
     if ss_tot == 0.0:
         raise MetricError(f"test target {target!r} has zero variance; r2 undefined")
     r2 = 1.0 - ss_res / ss_tot
     rmse = float(np.sqrt((resid**2).mean()))
-    return {"model": model, "r2": r2, "rmse": rmse}
+    return {"model": "ridge", "r2": r2, "rmse": rmse}
 
 
 # ---------------------------------------------------------------------------
@@ -558,6 +519,9 @@ class MetricReport:
     def to_dict(self) -> dict:
         out = asdict(self)
         del out["timings"]
+        for key in ("tvd_2way", "tvd_2way_sum"):  # undefined on one column: JSON null
+            if math.isnan(out[key]):
+                out[key] = None
         return out
 
 
@@ -567,12 +531,11 @@ def metric_report(
     bins: int = DEFAULT_BINS,
     bandwidth: float | None = None,
     target: str | None = None,
-    models=("ridge",),
-    seed: int = 0,
 ) -> MetricReport:
     """All metrics of the synthetic table against the held-out table, with
     the wall time of each in ``timings`` (the bandwidth's only when it is
-    computed here, ``downstream.<model>`` per downstream model)."""
+    computed here, ``downstream.ridge`` with a target). The two-way TVD
+    needs two columns; with one it is NaN here and null in ``to_dict``."""
     timings = {}
 
     def timed(name, fn, *args):
@@ -605,8 +568,5 @@ def metric_report(
         timings=timings,
     )
     if target is not None:
-        for model in models:
-            report.downstream.append(
-                timed(f"downstream.{model}", downstream_efficacy, synthetic, test, target, model, seed)
-            )
+        report.downstream.append(timed("downstream.ridge", downstream_efficacy, synthetic, test, target))
     return report

@@ -279,17 +279,10 @@ def _prefix_row_norms(W: np.ndarray) -> np.ndarray:
     return np.sqrt((W[:-1] ** 2).sum(axis=1))
 
 
-def group_lasso(W: np.ndarray) -> float:
-    """Sum of Euclidean norms of the prefix rows (all rows but the last).
-
-    The generator penalty applies it to ``np.column_stack([w_in, skip])``, so
-    row k is the whole dependence on input k.
-    """
-    return float(_prefix_row_norms(np.asarray(W, dtype=np.float64)).sum())
-
-
 def group_lasso_subgrad(W: np.ndarray) -> np.ndarray:
-    """Row-normalized subgradient; exact-zero rows map to zero rows."""
+    """Subgradient of the group-lasso penalty, the summed norms of W's prefix
+    rows (all rows but the last): each prefix row over its norm; exact-zero
+    rows and the last row map to zero rows."""
     W = np.asarray(W, dtype=np.float64)
     norms = _prefix_row_norms(W)
     sub = np.zeros_like(W)
@@ -300,29 +293,6 @@ def group_lasso_subgrad(W: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # objectives and gradients
-
-
-def objective_delta(f: Discriminator, g: SequentialGenerator, X_batch: np.ndarray, Z_batch: np.ndarray) -> float:
-    """Critic separation: mean critic on real rows minus mean critic on fakes."""
-    X_batch = np.asarray(X_batch, dtype=np.float64)
-    Z_batch = np.asarray(Z_batch, dtype=np.float64)
-    if X_batch.size == 0 or Z_batch.size == 0:
-        raise UsageError("objective needs non-empty real and noise batches")
-    real, _ = disc_forward_batch(f, X_batch)
-    fake, _ = disc_forward_batch(f, sample_batch(g, Z_batch))
-    return float(real.mean() - fake.mean())
-
-
-def penalized_objective(
-    f: Discriminator,
-    g: SequentialGenerator,
-    X_batch: np.ndarray,
-    Z_batch: np.ndarray,
-    sched: PenaltySchedule,
-) -> float:
-    lam = sched.values(g.d)
-    penalty = sum(lam[jj] * group_lasso(np.column_stack([s.w_in, s.skip])) for jj, s in enumerate(g.subs))
-    return objective_delta(f, g, X_batch, Z_batch) + float(penalty)
 
 
 def generator_grad(

@@ -1,11 +1,11 @@
 """Minimal dense-network core: float64 layers, activations and their
 derivatives, batched forward and backward passes through a stack of layers,
-the flat parameter store, and a finite-difference gradient check.
+and the flat parameter store.
 
-Every network in the package (each sub-generator's hidden and output layers,
-the critic, the downstream regressor) runs through ``forward`` and
-``backward``. Weights are (out, in) matrices, biases are (out,) vectors; row
-i of every batch array is one example.
+Every network in the package (each sub-generator's hidden and output layers
+and the critic) runs through ``forward`` and ``backward``. Weights are
+(out, in) matrices, biases are (out,) vectors; row i of every batch array is
+one example.
 """
 
 from __future__ import annotations
@@ -14,37 +14,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, ShapeError, UsageError
+from .errors import ShapeError, UsageError
 
 IDENTITY = "identity"
 LEAKY_RELU = "leaky_relu"
-DEFAULT_SLOPE = 0.2
+SLOPE = 0.2  # the leaky ReLU's slope below zero
 
 
-def leaky_relu(v: np.ndarray, slope: float = DEFAULT_SLOPE) -> np.ndarray:
-    """Elementwise v where v >= 0, else slope*v, for 0 <= slope <= 1; slope=1
-    is the identity. A positive slope takes the one-pass max(v, slope*v)."""
+def leaky_relu(v: np.ndarray) -> np.ndarray:
+    """Elementwise v where v >= 0, else SLOPE*v, in one max(v, SLOPE*v) pass."""
     v = np.asarray(v, dtype=np.float64)
-    if slope == 0.0:  # 0 * inf is NaN, so max(v, 0*v) would lose +inf
-        return np.where(v >= 0.0, v, 0.0 * v)
-    return np.maximum(v, slope * v)
+    return np.maximum(v, SLOPE * v)
 
 
-def leaky_relu_grad(pre: np.ndarray, slope: float = DEFAULT_SLOPE) -> np.ndarray:
+def leaky_relu_grad(pre: np.ndarray) -> np.ndarray:
     """Derivative of leaky_relu at the pre-activation; exactly 1 at pre == 0."""
     pre = np.asarray(pre, dtype=np.float64)
-    return np.where(pre >= 0.0, 1.0, slope)
+    return np.where(pre >= 0.0, 1.0, SLOPE)
 
 
 @dataclass
 class DenseLayer:
-    """One affine map plus activation: y = act(weight @ x + bias); a leaky
-    ReLU's slope lies in [0, 1]."""
+    """One affine map plus activation: y = act(weight @ x + bias)."""
 
     weight: np.ndarray
     bias: np.ndarray
     activation: str = IDENTITY
-    slope: float = DEFAULT_SLOPE
 
     def __post_init__(self):
         self.weight = np.asarray(self.weight, dtype=np.float64)
@@ -57,8 +52,6 @@ class DenseLayer:
             )
         if self.activation not in (IDENTITY, LEAKY_RELU):
             raise UsageError(f"unknown activation {self.activation!r}")
-        if not 0.0 <= self.slope <= 1.0:
-            raise UsageError(f"leaky ReLU slope must lie in [0, 1], got {self.slope}")
 
     @property
     def out_dim(self) -> int:
@@ -69,19 +62,13 @@ class DenseLayer:
         return self.weight.shape[1]
 
 
-def init_dense(
-    n_out: int,
-    n_in: int,
-    rng: np.random.Generator,
-    activation: str = IDENTITY,
-    slope: float = DEFAULT_SLOPE,
-) -> DenseLayer:
+def init_dense(n_out: int, n_in: int, rng: np.random.Generator, activation: str = IDENTITY) -> DenseLayer:
     """Fresh layer: weights uniform on [-1/sqrt(n_in), +1/sqrt(n_in)], zero bias."""
     if n_out < 1 or n_in < 1:
         raise ShapeError(f"layer dims must be positive, got ({n_out}, {n_in})")
     bound = 1.0 / np.sqrt(n_in)
     weight = rng.uniform(-bound, bound, size=(n_out, n_in))
-    return DenseLayer(weight, np.zeros(n_out), activation, slope)
+    return DenseLayer(weight, np.zeros(n_out), activation)
 
 
 def gather(groups) -> np.ndarray:
@@ -105,7 +92,7 @@ def forward(layers, X: np.ndarray):
     for layer in layers:
         pre = X @ layer.weight.T + layer.bias
         caches.append((X, pre))
-        X = leaky_relu(pre, layer.slope) if layer.activation == LEAKY_RELU else pre
+        X = leaky_relu(pre) if layer.activation == LEAKY_RELU else pre
     return X, caches
 
 
@@ -134,7 +121,7 @@ def backward(
     for k in range(len(layers) - 1, -1, -1):
         layer, (xin, pre) = layers[k], caches[k]
         if layer.activation == LEAKY_RELU:
-            delta = delta * leaky_relu_grad(pre, layer.slope)
+            delta = delta * leaky_relu_grad(pre)
         n_out, n_in = layer.weight.shape
         b0 = end - n_out
         w0 = b0 - n_out * n_in
@@ -149,33 +136,3 @@ def backward(
         end = w0
     return delta, out
 
-
-def grad_check(f, params: np.ndarray, eps: float = 1e-6) -> float:
-    """Compare an analytic gradient against central finite differences.
-
-    ``f(params)`` must return ``(value, grad)`` where grad has the shape of
-    params. Returns the worst relative error
-    ``|analytic - numeric| / max(1, |numeric|)`` over all coordinates.
-    """
-    if not (0.0 < eps <= 1e-3):
-        raise UsageError(f"eps must lie in (0, 1e-3], got {eps}")
-    params = np.asarray(params, dtype=np.float64)
-    value, grad = f(params)
-    if not np.isfinite(value):
-        raise NumericError(f"objective is non-finite at the base point: {value}")
-    grad = np.asarray(grad, dtype=np.float64)
-    if grad.shape != params.shape:
-        raise ShapeError(f"grad shape {grad.shape} does not match params {params.shape}")
-    worst = 0.0
-    for i in range(params.size):
-        bumped = params.copy()
-        bumped[i] = params[i] + eps
-        up, _ = f(bumped)
-        bumped[i] = params[i] - eps
-        down, _ = f(bumped)
-        if not (np.isfinite(up) and np.isfinite(down)):
-            raise NumericError(f"objective non-finite near coordinate {i}")
-        numeric = (up - down) / (2.0 * eps)
-        rel = abs(grad[i] - numeric) / max(1.0, abs(numeric))
-        worst = max(worst, rel)
-    return worst

@@ -62,8 +62,8 @@ def sample_er_dag(d: int, expected_edges: float | None = None, seed: int = 0) ->
         raise UsageError(f"d must be >= 1, got {d}")
     if expected_edges is None:
         expected_edges = float(d)
-    if expected_edges < 0:
-        raise UsageError(f"expected_edges must be >= 0, got {expected_edges}")
+    if not 0 <= expected_edges < math.inf:
+        raise UsageError(f"expected_edges must be finite and >= 0, got {expected_edges}")
     n_pairs = d * (d - 1) // 2
     p = min(1.0, expected_edges / n_pairs) if n_pairs else 0.0
     rng = np.random.default_rng(seed)

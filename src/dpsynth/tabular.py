@@ -164,6 +164,8 @@ class Preprocessor:
         self.scale = np.asarray(self.scale, dtype=np.float64)
         if self.shift.shape != (len(self.names),) or self.scale.shape != (len(self.names),):
             raise ShapeError("shift/scale must have one entry per column")
+        if not (np.isfinite(self.shift).all() and np.isfinite(self.scale).all()):
+            raise UsageError("shifts and scales must be finite")
         if np.any(self.scale <= 0):
             raise UsageError("scales must be positive")
 
@@ -209,9 +211,10 @@ def preprocessor_from_json(payload: dict) -> Preprocessor:
         names = [c["name"] for c in cols]
         shift = [c["shift"] for c in cols]
         scale = [c["scale"] for c in cols]
-    except (KeyError, TypeError) as err:
+        shift, scale = np.array(shift, dtype=np.float64), np.array(scale, dtype=np.float64)
+    except (KeyError, TypeError, ValueError) as err:
         raise UsageError(f"malformed preprocessor payload: {err}") from None
-    return Preprocessor(tuple(names), np.array(shift), np.array(scale))
+    return Preprocessor(tuple(names), shift, scale)
 
 
 def save_preprocessor(path, p: Preprocessor) -> None:
@@ -222,7 +225,11 @@ def save_preprocessor(path, p: Preprocessor) -> None:
 
 def load_preprocessor(path) -> Preprocessor:
     with open(path) as fh:
-        return preprocessor_from_json(json.load(fh))
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as err:
+            raise UsageError(f"preprocessor is not valid JSON: {err}") from None
+    return preprocessor_from_json(payload)
 
 
 @dataclass

@@ -18,7 +18,7 @@ def _layer(layer, x):
     for o in range(layer.out_dim):
         pre = layer.bias[o] + sum(layer.weight[o, i] * x[i] for i in range(len(x)))
         if layer.activation == LEAKY_RELU and pre < 0:
-            pre = layer.slope * pre
+            pre = nn.SLOPE * pre
         out.append(pre)
     return out
 

@@ -13,6 +13,7 @@ import time
 import numpy as np
 
 import naive_metrics as nv
+import oracles
 from dpsynth import cli, dp, metrics, models, semdata, tabular, training
 
 
@@ -74,7 +75,7 @@ def test_criterion_01_gradient_correctness():
                 fake = models.sample_batch(probe_g, Z)
                 vals, _ = models.disc_forward_batch(f, fake)
                 pen = sum(
-                    lam * models.group_lasso(np.column_stack([s.w_in, s.skip]))
+                    lam * oracles.group_lasso(np.column_stack([s.w_in, s.skip]))
                     for lam, s in zip(lams, probe_g.subs)
                 )
                 return -float(np.mean(vals)) + pen

@@ -431,3 +431,64 @@ def test_commands_write_only_inside_out(tmp_path, monkeypatch):
     monkeypatch.chdir(workdir)
     simulate(tmp_path, "simout")
     assert list(workdir.iterdir()) == []
+
+
+def test_generate_maps_bad_preprocessor_files_to_usage_exit(tmp_path):
+    sim = simulate(tmp_path)
+    run = train(tmp_path, sim)
+    good = json.loads((run / "preprocessor.json").read_text())
+    cases = {"truncated": '{"columns": ['}
+    for name, key, value in (("text_shift", "shift", "a"), ("nan_scale", "scale", math.nan)):
+        bad = json.loads(json.dumps(good))
+        bad["columns"][0][key] = value
+        cases[name] = json.dumps(bad)  # a NaN goes out as the token NaN, which json.load reads
+    for name, text in cases.items():
+        pre = tmp_path / f"{name}.json"
+        pre.write_text(text)
+        out = tmp_path / f"gen_{name}"
+        rc = run_cli("generate", "--model", run / "checkpoint.json", "--n", 10,
+                     "--preprocessor", pre, "--out", out)
+        assert rc == 2, name
+        assert not out.exists() or not any(out.iterdir()), name
+
+
+def test_account_checks_n_and_batch_before_calibrating(capsys):
+    for mode in (("--sigma", 1.0), ("--epsilon", 1.0)):
+        assert run_cli("account", "--n", 0, "--batch", 5, "--steps", 10, *mode) == 2
+        assert "n and batch must be >= 1, got n=0, batch=5" in capsys.readouterr().err
+        assert run_cli("account", "--n", 10, "--batch", 50, "--steps", 10, *mode) == 2
+        assert "batch 50 exceeds n 10" in capsys.readouterr().err
+
+
+def test_evaluate_writes_strict_json_on_one_column_tables(tmp_path):
+    rng = np.random.default_rng(3)
+    for name in ("synthetic", "test"):
+        tabular.write_csv(tabular.Table(("a",), rng.standard_normal((30, 1))), tmp_path / f"{name}.csv")
+    out = tmp_path / "eval"
+    rc = run_cli("evaluate", "--synthetic", tmp_path / "synthetic.csv", "--test", tmp_path / "test.csv",
+                 "--out", out)
+    assert rc == 0
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    report = json.loads((out / "metrics.json").read_text(), parse_constant=refuse)
+    assert report["tvd_2way"] is None and report["tvd_2way_sum"] is None
+    assert math.isfinite(report["tvd_1way"])
+    manifest = json.loads((out / "manifest.json").read_text(), parse_constant=refuse)
+    assert manifest["seed"] is None
+    with pytest.raises(SystemExit) as exc:  # evaluate is deterministic and takes no seed
+        run_cli("evaluate", "--synthetic", tmp_path / "synthetic.csv", "--test", tmp_path / "test.csv",
+                "--seed", 1, "--out", tmp_path / "seeded")
+    assert exc.value.code == 2
+
+
+def test_non_finite_settings_are_usage_errors(tmp_path):
+    sim = simulate(tmp_path, d=3, n=60)
+    for flags in (("--tau", "nan"), ("--clamp", "inf"), ("--clip", "inf"), ("--sigma", "nan")):
+        out = tmp_path / f"train{flags[0]}"
+        assert run_cli("train", "--data", sim / "data.csv", "--steps", 10, "--batch", 20,
+                       *flags, "--out", out) == 2, flags
+        assert not out.exists(), flags
+    assert run_cli("account", "--n", 100, "--batch", 10, "--steps", 10, "--sigma", "inf") == 2
+    assert run_cli("simulate", "--d", 3, "--n", 10, "--edges", "inf", "--out", tmp_path / "s") == 2

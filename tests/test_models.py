@@ -9,6 +9,7 @@ from dpsynth import models, nn
 from dpsynth.errors import ShapeError, UsageError
 from dpsynth.nn import IDENTITY, LEAKY_RELU, DenseLayer
 from naive_models import naive_discriminator, naive_generator, naive_generator_grad, naive_subgen
+from oracles import grad_check, group_lasso, objective_delta, penalized_objective
 
 
 def zero_subgen(j, width=3):
@@ -129,8 +130,8 @@ def interval_output_bound(f, xmax):
         radius = np.abs(layer.weight) @ ((hi - lo) / 2)
         lo, hi = center - radius, center + radius
         if layer.activation == LEAKY_RELU:
-            lo = np.where(lo >= 0, lo, layer.slope * lo)
-            hi = np.where(hi >= 0, hi, layer.slope * hi)
+            lo = np.where(lo >= 0, lo, nn.SLOPE * lo)
+            hi = np.where(hi >= 0, hi, nn.SLOPE * hi)
     return float(max(abs(lo[0]), abs(hi[0])))
 
 
@@ -158,10 +159,10 @@ def test_batched_paths_match_per_vector():
 
 
 def test_group_lasso_hand_values():
-    assert models.group_lasso(np.zeros((4, 3))) == 0.0
-    assert models.group_lasso(np.array([[3.0, 4.0]])) == 0.0  # noise row only
+    assert group_lasso(np.zeros((4, 3))) == 0.0
+    assert group_lasso(np.array([[3.0, 4.0]])) == 0.0  # noise row only
     W = np.array([[3.0, 4.0], [0.0, 0.0], [5.0, 12.0]])
-    assert abs(models.group_lasso(W) - 5.0) < 1e-15  # last row is never counted
+    assert abs(group_lasso(W) - 5.0) < 1e-15  # last row is never counted
 
 
 def test_group_lasso_subgrad_rows():
@@ -182,7 +183,7 @@ def test_group_lasso_subgrad_is_fd_gradient_off_origin():
             Wp, Wm = W.copy(), W.copy()
             Wp[k, l] += eps
             Wm[k, l] -= eps
-            fd = (models.group_lasso(Wp) - models.group_lasso(Wm)) / (2 * eps)
+            fd = (group_lasso(Wp) - group_lasso(Wm)) / (2 * eps)
             assert abs(fd - sub[k, l]) < 1e-6
 
 
@@ -190,8 +191,8 @@ def test_group_lasso_subgrad_is_fd_gradient_off_origin():
 @settings(max_examples=30, deadline=None)
 def test_group_lasso_scales_absolutely_homogeneously(c, seed):
     W = np.random.default_rng(seed).standard_normal((3, 2))
-    got = models.group_lasso(c * W)
-    want = abs(c) * models.group_lasso(W)
+    got = group_lasso(c * W)
+    want = abs(c) * group_lasso(W)
     assert abs(got - want) <= 1e-9 * max(1.0, want)
 
 
@@ -213,9 +214,9 @@ def test_penalized_objective_adds_hand_penalty():
     sched = models.PenaltySchedule(0.01, 1.0)
     lam = sched.values(3)
     groups = [np.column_stack([s.w_in, s.skip]) for s in g.subs]
-    penalty = sum(lam[j] * models.group_lasso(groups[j]) for j in range(3))
-    base = models.objective_delta(f, g, X, Z)
-    got = models.penalized_objective(f, g, X, Z, sched)
+    penalty = sum(lam[j] * group_lasso(groups[j]) for j in range(3))
+    base = objective_delta(f, g, X, Z)
+    got = penalized_objective(f, g, X, Z, sched)
     assert abs(got - (base + penalty)) < 1e-14
 
 
@@ -229,10 +230,10 @@ def test_generator_grad_matches_finite_differences():
 
     def fn(theta):
         g.theta[:] = theta
-        val = models.penalized_objective(f, g, X, Z, sched)
+        val = penalized_objective(f, g, X, Z, sched)
         return val, models.generator_grad(f, g, Z, sched)
 
-    assert nn.grad_check(fn, g.theta.copy()) < 1e-6
+    assert grad_check(fn, g.theta.copy()) < 1e-6
 
 
 @pytest.mark.parametrize("lam,frozen", [(0.0, False), (0.0, True), (0.01, True)])
@@ -253,10 +254,10 @@ def test_generator_grad_hand_cases_match_finite_differences(lam, frozen):
         for s in g.subs:
             s.w_in[s.frozen] = 0.0
             s.skip[s.frozen] = 0.0
-        val = models.penalized_objective(f, g, X, Z, sched)
+        val = penalized_objective(f, g, X, Z, sched)
         return val, models.generator_grad(f, g, Z, sched)
 
-    assert nn.grad_check(fn, g.theta.copy()) < 1e-6
+    assert grad_check(fn, g.theta.copy()) < 1e-6
     if frozen:
         sl = flat_slices(g)[2]
         w_row = slice(sl["w_in"][0] + 3, sl["w_in"][0] + 6)
@@ -280,7 +281,7 @@ def test_disc_per_example_grad_matches_finite_differences():
             val = -(critic(f, X[i : i + 1])[0] - critic(f, fakes[i : i + 1])[0])
             return val, models.disc_loss_grads_batch(f, X, fakes)[0][i]
 
-        assert nn.grad_check(fn, f.nu.copy()) < 1e-6
+        assert grad_check(fn, f.nu.copy()) < 1e-6
 
 
 def test_batch_disc_grads_match_per_example():
@@ -400,7 +401,7 @@ def test_penalty_group_is_input_row_plus_skip_entry():
     X = rng.standard_normal((5, 2))
     Z = rng.standard_normal((5, 2))
     sched = models.PenaltySchedule(lam)
-    penalty = models.penalized_objective(f, g, X, Z, sched) - models.objective_delta(f, g, X, Z)
+    penalty = penalized_objective(f, g, X, Z, sched) - objective_delta(f, g, X, Z)
     assert abs(penalty - 5 * lam) < 1e-14
 
     sl = flat_slices(g)[1]
