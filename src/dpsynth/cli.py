@@ -27,11 +27,6 @@ from .errors import (
     UsageError,
 )
 
-# Every TrainConfig field but the nested DP settings, which have flags of
-# their own (--sigma, --epsilon, --delta, --clip).
-TRAIN_FIELDS = tuple(f.name for f in fields(training.TrainConfig) if f.name != "dp")
-
-
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -73,16 +68,10 @@ def _out_dir(args) -> Path:
 
 def cmd_simulate(args) -> int:
     t0 = time.perf_counter()
-    if args.n < 1:
-        raise UsageError(f"--n must be >= 1, got {args.n}")
-    if args.d < 1:
-        raise UsageError(f"--d must be >= 1, got {args.d}")
     if args.graph == "er" and args.attach is not None:
         raise UsageError("--attach applies to --graph sf only")
     if args.graph == "sf" and args.edges is not None:
         raise UsageError("--edges applies to --graph er only")
-    out = _out_dir(args)
-
     if args.graph == "er":
         dag = semdata.sample_er_dag(args.d, args.edges, seed=args.seed)
     else:
@@ -91,6 +80,7 @@ def cmd_simulate(args) -> int:
     weights = semdata.sample_weights(dag, spec, seed=args.seed)
     table = semdata.simulate(dag, weights, spec, args.n, seed=args.seed)
 
+    out = _out_dir(args)
     tabular.write_csv(table, out / "data.csv")
     semdata.save_dag(out / "dag.json", dag, args.kind, args.seed)
     config = {
@@ -108,6 +98,17 @@ def cmd_simulate(args) -> int:
 # ------------------------------------------------------------------- train
 
 
+# Every train setting and its default: TrainConfig's fields but dp, then the
+# DP release's clip norm and delta, and its noise given either as sigma or as
+# a target epsilon (None: not given). The table makes both parsers' flags, the
+# config-file keys and their types, and the manifests' record.
+SETTINGS = {f.name: f.default for f in fields(training.TrainConfig) if f.name != "dp"}
+SETTINGS.update(clip=dp.DpConfig.clip_norm, delta=dp.DpConfig.delta, sigma=None, epsilon=None)
+# The DpConfig field each DP setting fills; epsilon is calibrated into sigma.
+DP_FIELDS = {"clip": "clip_norm", "delta": "delta", "sigma": "noise_multiplier"}
+PAPER_ALIASES = {"steps": "--T", "batch": "--B", "lam": "--lambda"}
+
+
 def _config_value_ok(value, default) -> bool:
     """Whether a JSON config value fits the type of its field's default:
     bools take only bools, ints only non-bool ints, floats ints or floats,
@@ -119,12 +120,10 @@ def _config_value_ok(value, default) -> bool:
     return isinstance(value, int if isinstance(default, int) else (int, float))
 
 
-def _resolve_train_config(args) -> tuple[training.TrainConfig, float | None]:
-    values = {f: getattr(training.TrainConfig, f) for f in TRAIN_FIELDS}
-    values["sigma"] = None
-    values["epsilon"] = None
-    values["delta"] = dp.DEFAULT_DELTA
-    values["clip"] = dp.DpConfig.clip_norm
+def _settings(args, refused=()) -> dict:
+    """Every setting's value: its default, then the --config file's, then the
+    flag's. Giving a setting in ``refused`` either way is a usage error."""
+    loaded = {}
     if args.config is not None:
         try:
             loaded = json.loads(Path(args.config).read_text())
@@ -134,68 +133,69 @@ def _resolve_train_config(args) -> tuple[training.TrainConfig, float | None]:
             raise IngestionError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise UsageError("config file must hold a JSON object")
-        unknown = set(loaded) - set(values)
+        unknown = set(loaded) - set(SETTINGS)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
         for key, value in loaded.items():
-            if not _config_value_ok(value, values[key]):
+            if not _config_value_ok(value, SETTINGS[key]):
                 raise UsageError(f"config key {key!r} has the wrong type: {value!r}")
-        values.update(loaded)
-    for key in values:
-        flag = getattr(args, key, None)
-        if flag is not None and flag is not False:
-            values[key] = flag
+    flags = {key: getattr(args, key) for key in SETTINGS if getattr(args, key, None) is not None}
+    given = sorted((set(loaded) | set(flags)) & set(refused))
+    if given:
+        raise UsageError(f"{args.command} sets {given} itself; drop them from flags and config")
+    return {**SETTINGS, **loaded, **flags}
 
-    if values["epsilon"] is not None and values["sigma"] is not None:
-        raise UsageError("--epsilon and --sigma are mutually exclusive")
-    sigma = values["sigma"] if values["sigma"] is not None else 0.0
-    cfg = training.TrainConfig(
-        **{f: values[f] for f in TRAIN_FIELDS},
-        dp=dp.DpConfig(
-            clip_norm=values["clip"],
-            noise_multiplier=sigma,
-            delta=values["delta"],
-        ),
+
+def _train_config(values: dict) -> training.TrainConfig:
+    """The TrainConfig of resolved settings; sigma is 0 when not given."""
+    sigma = 0.0 if values["sigma"] is None else values["sigma"]
+    return training.TrainConfig(
+        **{key: values[key] for key in SETTINGS if key not in DP_FIELDS and key != "epsilon"},
+        dp=dp.DpConfig(clip_norm=values["clip"], noise_multiplier=sigma, delta=values["delta"]),
     )
-    return cfg, values["epsilon"]
 
 
-def _train_record(cfg: training.TrainConfig) -> dict:
-    """A manifest's record of a train config: every TRAIN_FIELDS value, the
-    clip norm and delta; ``train`` adds sigma, ``benchmark`` sweeps it."""
-    return dict({f: getattr(cfg, f) for f in TRAIN_FIELDS}, clip=cfg.dp.clip_norm, delta=cfg.dp.delta)
+def _record(cfg: training.TrainConfig, skip=("epsilon",)) -> dict:
+    """A manifest's record of a train config: every setting but those in skip,
+    read back from cfg (so a calibrated sigma is recorded as run)."""
+    return {
+        key: getattr(cfg.dp, DP_FIELDS[key]) if key in DP_FIELDS else getattr(cfg, key)
+        for key in SETTINGS
+        if key not in skip
+    }
+
+
+def _sigma(sigma, epsilon, delta: float, n: int, batch: int, releases: int):
+    """The noise multiplier: sigma as given, or calibrated so that ``releases``
+    noisy releases at sample rate batch / n spend epsilon at delta."""
+    if sigma is not None and epsilon is not None:
+        raise UsageError("--epsilon and --sigma are mutually exclusive")
+    if epsilon is None:
+        return sigma
+    return dp.calibrate_sigma(dp.PrivacySpec(epsilon, delta), dp.sample_rate(n, batch), releases)
 
 
 def cmd_train(args) -> int:
     t0 = time.perf_counter()
-    cfg, target_epsilon = _resolve_train_config(args)
+    values = _settings(args)
+    cfg = _train_config(values)
     data = tabular.read_csv(args.data)
-    out = _out_dir(args)
-
-    if target_epsilon is not None:
-        # two-step training runs cfg.steps per phase, and the ledger composes both
-        q = dp.sample_rate(data.n, cfg.batch)
-        sigma = dp.calibrate_sigma(
-            dp.PrivacySpec(target_epsilon, cfg.dp.delta), q, cfg.steps * (2 if cfg.two_step else 1)
-        )
+    sigma = _sigma(
+        values["sigma"], values["epsilon"], cfg.dp.delta, data.n, cfg.batch, cfg.releases
+    )
+    if sigma is not None:
         cfg = replace(cfg, dp=replace(cfg.dp, noise_multiplier=sigma))
 
     pre = tabular.fit_preprocessor(data)
     standardized = tabular.transform(pre, data)
     g, f, report = training.train(standardized, cfg)
 
+    out = _out_dir(args)
     models.save_checkpoint(out / "checkpoint.json", g, f)
     tabular.save_preprocessor(out / "preprocessor.json", pre)
     _write_json(out / "report.json", report.to_dict())
-    _manifest(
-        out,
-        "train",
-        dict(_train_record(cfg), sigma=cfg.dp.noise_multiplier),
-        cfg.seed,
-        [args.data],
-        ["checkpoint.json", "preprocessor.json", "report.json"],
-        t0,
-    )
+    outputs = ["checkpoint.json", "preprocessor.json", "report.json"]
+    _manifest(out, "train", _record(cfg), cfg.seed, [args.data], outputs, t0)
     if report.non_private:
         print("non-private run (sigma = 0): epsilon = inf")
     else:
@@ -246,20 +246,12 @@ def cmd_evaluate(args) -> int:
         raise UsageError(
             f"column mismatch: synthetic has {synthetic.names}, test has {test.names}"
         )
-    out = _out_dir(args)
     report = metrics.metric_report(synthetic, test, bins=args.bins, target=args.target)
+    out = _out_dir(args)
     _write_json(out / "metrics.json", report.to_dict())
     config = {"bins": args.bins, "target": args.target}
-    _manifest(
-        out,
-        "evaluate",
-        config,
-        None,
-        [args.synthetic, args.test],
-        ["metrics.json"],
-        t0,
-        timings=report.timings,
-    )
+    inputs = [args.synthetic, args.test]
+    _manifest(out, "evaluate", config, None, inputs, ["metrics.json"], t0, timings=report.timings)
     return 0
 
 
@@ -268,14 +260,9 @@ def cmd_evaluate(args) -> int:
 
 def cmd_account(args) -> int:
     t0 = time.perf_counter()
-    if args.epsilon is not None and args.sigma is not None:
-        raise UsageError("--epsilon and --sigma are mutually exclusive")
     if args.epsilon is None and args.sigma is None:
         raise UsageError("one of --sigma (forward) or --epsilon (calibration) is required")
-    sigma = args.sigma
-    if args.epsilon is not None:
-        q = dp.sample_rate(args.n, args.batch)
-        sigma = dp.calibrate_sigma(dp.PrivacySpec(args.epsilon, args.delta), q, args.steps)
+    sigma = _sigma(args.sigma, args.epsilon, args.delta, args.n, args.batch, args.steps)
     report = dp.account_report(args.n, args.batch, sigma, args.steps, args.delta)
     if args.epsilon is not None:
         report["target_epsilon"] = args.epsilon
@@ -291,6 +278,9 @@ def cmd_account(args) -> int:
 # --------------------------------------------------------------- benchmark
 
 SWEEP_FIELDS = {"d_lr": "eta_nu", "g_lr": "eta_theta", "lambda": "lam", "gamma": "gamma"}
+# Settings benchmark sets itself, besides the swept field: the seed per
+# repeat and sigma per grid point; it has no epsilon.
+BENCHMARK_SETS = ("seed", "sigma", "epsilon")
 
 
 def cmd_benchmark(args) -> int:
@@ -305,9 +295,7 @@ def cmd_benchmark(args) -> int:
         raise UsageError("--grid and --sigmas must be non-empty")
     if args.repeats < 1:
         raise UsageError(f"--repeats must be >= 1, got {args.repeats}")
-    out = _out_dir(args)
-
-    base, _ = _resolve_train_config(args)
+    base = _train_config(_settings(args, refused=BENCHMARK_SETS + (field_name,)))
     rows = []
     for rep in range(args.repeats):
         dag = semdata.sample_er_dag(args.d, args.d, seed=rep)
@@ -344,11 +332,12 @@ def cmd_benchmark(args) -> int:
                     }
                 )
 
+    out = _out_dir(args)
     with open(out / "sweep.csv", "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=["param", "sigma", "seed", "wd", "tvd", "mmd", "js"])
         writer.writeheader()
         writer.writerows(rows)
-    config = _train_record(base)
+    config = _record(base, skip=BENCHMARK_SETS)
     config.update(
         {
             "sweep": args.sweep,
@@ -368,23 +357,19 @@ def cmd_benchmark(args) -> int:
 # ------------------------------------------------------------------ parser
 
 
-def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON file of config values; flags override it")
-    p.add_argument("--steps", "--T", dest="steps", type=int)
-    p.add_argument("--batch", "--B", dest="batch", type=int)
-    p.add_argument("--t-g", "--t_g", dest="t_g", type=int)
-    p.add_argument("--eta-theta", "--eta_theta", dest="eta_theta", type=float)
-    p.add_argument("--eta-nu", "--eta_nu", dest="eta_nu", type=float)
-    p.add_argument("--lam", "--lambda", dest="lam", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--clamp", type=float)
-    p.add_argument("--init-out-gain", "--init_out_gain", dest="init_out_gain", type=float)
-    p.add_argument("--init-noise-gain", "--init_noise_gain", dest="init_noise_gain", type=float)
-    p.add_argument("--clip", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--delta", type=float)
+def _add_train_flags(p: argparse.ArgumentParser, skip=()) -> None:
+    """One flag per setting but those in skip: its dashed and underscored
+    spellings, and its paper alias."""
+    p.add_argument("--config", help="JSON file of settings; flags override it")
+    for key, default in SETTINGS.items():
+        if key in skip:
+            continue
+        flag = f"--{key}"
+        spellings = dict.fromkeys([flag.replace("_", "-"), flag, PAPER_ALIASES.get(key, flag)])
+        if isinstance(default, bool):
+            p.add_argument(*spellings, dest=key, action="store_true", default=None)
+        else:
+            p.add_argument(*spellings, dest=key, type=int if isinstance(default, int) else float)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -409,8 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="fit the generator on a CSV table")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--epsilon", type=float, help="target budget; sigma is calibrated")
-    p.add_argument("--two-step", "--two_step", dest="two_step", action="store_true", default=None)
     _add_train_flags(p)
     p.set_defaults(func=cmd_train)
 
@@ -440,7 +423,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_account)
 
-    p = sub.add_parser("benchmark", help="sweep one knob over a grid of noise levels")
+    # no abbreviations: --sigma would otherwise be read as --sigmas
+    p = sub.add_parser(
+        "benchmark", help="sweep one knob over a grid of noise levels", allow_abbrev=False
+    )
     p.add_argument("--sweep", choices=sorted(SWEEP_FIELDS), required=True)
     p.add_argument("--grid", required=True, help="comma-separated values for the swept knob")
     p.add_argument("--sigmas", default="0", help="comma-separated noise multipliers")
@@ -449,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=2000)
     p.add_argument("--kind", choices=("linear", "nonlinear"), default="linear")
     p.add_argument("--out", required=True)
-    _add_train_flags(p)
+    _add_train_flags(p, skip=BENCHMARK_SETS)
     p.set_defaults(func=cmd_benchmark)
 
     return parser

@@ -1,4 +1,4 @@
-"""Strict numeric-table ingestion, standardization, and splitting.
+"""Strict numeric-table ingestion and standardization.
 
 CSV files must carry a header row and contain only finite numbers; nothing
 is imputed, bad cells are reported with their row and column. Values are
@@ -231,25 +231,3 @@ def load_preprocessor(path) -> Preprocessor:
             raise UsageError(f"preprocessor is not valid JSON: {err}") from None
     return preprocessor_from_json(payload)
 
-
-@dataclass
-class SplitSpec:
-    train_fraction: float = 0.6
-    seed: int = 0
-
-    def __post_init__(self):
-        if not (0.0 < self.train_fraction < 1.0):
-            raise UsageError(f"train_fraction must lie in (0, 1), got {self.train_fraction}")
-
-
-def split(table: Table, spec: SplitSpec):
-    """Seeded row shuffle, then a round(fraction * n) / rest cut."""
-    n_train = round(spec.train_fraction * table.n)
-    if n_train < 1 or n_train >= table.n:
-        raise UsageError(
-            f"split of {table.n} rows at fraction {spec.train_fraction} leaves an empty side"
-        )
-    perm = np.random.default_rng(spec.seed).permutation(table.n)
-    train = Table(table.names, table.values[perm[:n_train]].copy())
-    test = Table(table.names, table.values[perm[n_train:]].copy())
-    return train, test

@@ -68,6 +68,17 @@ class TrainConfig:
         if self.init_out_gain <= 0 or self.init_noise_gain <= 0:
             raise UsageError("init gains must be positive")
 
+    @property
+    def penalties(self) -> tuple:
+        """Each phase's group-lasso weight: the penalized phase, then under
+        two_step the unpenalized refit of the pruned model."""
+        return (self.lam, 0.0) if self.two_step else (self.lam,)
+
+    @property
+    def releases(self) -> int:
+        """The run's noisy critic releases, all on one ledger: steps per phase."""
+        return self.steps * len(self.penalties)
+
 
 def poisson_batch(n: int, q: float, rng: np.random.Generator) -> np.ndarray:
     """Indices of an independent-inclusion batch: each row kept with prob q."""
@@ -115,14 +126,6 @@ def _streams(seed: int):
         np.random.default_rng(noise_z),
         np.random.default_rng(dp_noise),
     )
-
-
-def _check_data(data: Table, cfg: TrainConfig) -> float:
-    if data.n < 1:
-        raise UsageError("training table is empty")
-    if cfg.batch > data.n:
-        raise UsageError(f"batch {cfg.batch} exceeds the {data.n} available rows")
-    return cfg.batch / data.n
 
 
 def _run_phase(
@@ -215,7 +218,7 @@ def train(data: Table, cfg: TrainConfig):
     the end-of-phase-one epsilon and the final one.
     """
     t0 = time.perf_counter()
-    q = _check_data(data, cfg)
+    q = dp.sample_rate(data.n, cfg.batch)
     dp_cfg = replace(cfg.dp, sample_rate=q)
     rngs = _streams(cfg.seed)
     rng_init = rngs[0]
@@ -226,7 +229,7 @@ def train(data: Table, cfg: TrainConfig):
     ledger = dp.new_ledger(cfg.dp.orders, cfg.dp.delta)
     gen_updates = 0
     mask = eps1 = None
-    for phase, lam in enumerate([cfg.lam, 0.0] if cfg.two_step else [cfg.lam]):
+    for phase, lam in enumerate(cfg.penalties):
         if phase == 1:
             eps1 = _epsilon(cfg, ledger)
             g, frozen = models.prune(g, cfg.tau)

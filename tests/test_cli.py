@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -492,3 +493,94 @@ def test_non_finite_settings_are_usage_errors(tmp_path):
         assert not out.exists(), flags
     assert run_cli("account", "--n", 100, "--batch", 10, "--steps", 10, "--sigma", "inf") == 2
     assert run_cli("simulate", "--d", 3, "--n", 10, "--edges", "inf", "--out", tmp_path / "s") == 2
+    assert not (tmp_path / "s").exists()
+
+
+BENCH = ("benchmark", "--sweep", "lambda", "--grid", "0.003", "--repeats", 1, "--d", 3, "--n", 60,
+         "--steps", 10, "--batch", 20, "--t-g", 5)
+
+
+def test_benchmark_checks_its_inputs_before_creating_out(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"stepz": 5}))
+    for name, flags in {"unknown_key": ("--config", bad), "batch_over_n": ("--batch", 200)}.items():
+        out = tmp_path / name
+        assert run_cli(*BENCH, *flags, "--out", out) == 2, name
+        assert not out.exists(), name
+
+
+def test_benchmark_refuses_the_settings_it_sets(tmp_path):
+    for flags in (("--seed", 1), ("--sigma", 1)):  # not offered: argparse exits 2
+        out = tmp_path / f"flag{flags[0]}"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*BENCH, *flags, "--out", out)
+        assert exc.value.code == 2 and not out.exists(), flags
+    for key, value in (("seed", 3), ("sigma", 1.0), ("epsilon", 1.0), ("lam", 0.5)):
+        cfg = tmp_path / f"{key}.json"
+        cfg.write_text(json.dumps({key: value}))
+        out = tmp_path / f"config_{key}"
+        assert run_cli(*BENCH, "--config", cfg, "--out", out) == 2, key
+        assert not out.exists(), key
+    out = tmp_path / "swept_flag"
+    assert run_cli(*BENCH, "--lam", 0.5, "--out", out) == 2  # --sweep lambda sets lam
+    assert not out.exists()
+    assert run_cli(*BENCH, "--out", tmp_path / "ok") == 0
+    config = json.loads((tmp_path / "ok" / "manifest.json").read_text())["config"]
+    assert not {"seed", "sigma", "epsilon"} & set(config)  # sweep.csv holds each repeat's seed
+
+
+def _option_strings(command):
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {s for action in sub.choices[command]._actions for s in action.option_strings}
+
+
+def test_each_command_accepts_exactly_its_flag_spellings():
+    train_flags = (
+        "--B --T --batch --clamp --clip --config --delta --eta-nu --eta-theta --eta_nu --eta_theta "
+        "--gamma --init-noise-gain --init-out-gain --init_noise_gain --init_out_gain --lam --lambda "
+        "--steps --t-g --t_g --tau --two-step --two_step"
+    ).split()
+    want = {
+        "simulate": "--attach --d --edges --graph --kind --n --out --seed",
+        "train": "--data --out --seed --sigma --epsilon " + " ".join(train_flags),
+        "generate": "--model --n --out --preprocessor --seed",
+        "evaluate": "--bins --out --synthetic --target --test",
+        "account": "--batch --delta --epsilon --n --out --sigma --steps",
+        "benchmark": "--d --grid --kind --n --out --repeats --sigmas --sweep " + " ".join(train_flags),
+    }
+    for command, flags in want.items():
+        assert _option_strings(command) == set(flags.split()) | {"-h", "--help"}, command
+    assert len(_option_strings("train")) == 31
+
+
+def _non_default(default):
+    if isinstance(default, bool):
+        return True
+    if isinstance(default, int):
+        return default + 1
+    return 0.25 if default is None else 2 * default + 0.25
+
+
+def test_each_setting_resolves_alike_from_flag_and_config_file(tmp_path):
+    parser = cli.build_parser()
+    heads = {
+        "train": ("train", "--data", "d.csv", "--out", "o"),
+        "benchmark": ("benchmark", "--sweep", "gamma", "--grid", "0", "--out", "o"),
+    }
+    for command, head in heads.items():
+        for key, default in cli.SETTINGS.items():
+            if command == "benchmark" and key in cli.BENCHMARK_SETS:
+                continue
+            value = _non_default(default)
+            flag = [f"--{key.replace('_', '-')}"] + ([] if value is True else [repr(value)])
+            cfg_file = tmp_path / f"{key}.json"
+            cfg_file.write_text(json.dumps({key: value}))
+            by_flag = cli._settings(parser.parse_args([*head, *flag]))
+            by_file = cli._settings(parser.parse_args([*head, "--config", str(cfg_file)]))
+            assert by_flag == by_file and by_flag[key] == value != default, (command, key)
+            cfgs = [cli._train_config(v) for v in (by_flag, by_file)]
+            assert cfgs[0] == cfgs[1], (command, key)
+            assert cli._record(cfgs[0]) == cli._record(cfgs[1]), (command, key)
+            if key != "epsilon":  # epsilon is calibrated into sigma before it is recorded
+                assert cli._record(cfgs[0])[key] == value, (command, key)

@@ -1,12 +1,15 @@
 """Every Python demo, and the README's library example, runs to completion
-against the current package."""
+against the current package; the README's CLI commands parse."""
 
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from dpsynth import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("0[1-5]_*.py"))
@@ -36,3 +39,16 @@ def test_readme_library_example_exits_zero(tmp_path):
     assert "training.train(" in code
     done = _run_python(["-c", code], tmp_path)
     assert done.returncode == 0, done.stderr[-2000:]
+
+
+def test_readme_cli_commands_parse():
+    section = (ROOT / "README.md").read_text().split("\n## Quick start (CLI)\n", 1)[1]
+    block = section.split("```\n", 1)[1].split("\n```", 1)[0]
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
+    assert {argv[1] for argv in commands} == {
+        "simulate", "train", "generate", "evaluate", "account", "benchmark"
+    }
+    parser = cli.build_parser()
+    for argv in commands:
+        assert argv[0] == "dpsynth"
+        assert parser.parse_args(argv[1:]).command == argv[1]

@@ -236,26 +236,3 @@ def test_preprocessor_json_round_trip(tmp_path):
     with pytest.raises(UsageError):
         tabular.Preprocessor(("a",), np.array([0.0]), np.array([0.0]))
 
-
-def test_split_sizes_and_partition():
-    rng = np.random.default_rng(11)
-    t = tabular.Table(("a",), rng.standard_normal((10, 1)))
-    train, test = tabular.split(t, tabular.SplitSpec(0.6, seed=1))
-    assert train.n == 6 and test.n == 4
-    merged = sorted(np.concatenate([train.values[:, 0], test.values[:, 0]]).tolist())
-    assert merged == sorted(t.values[:, 0].tolist())
-
-
-def test_split_determinism_and_validation():
-    t = tabular.Table(("a",), np.arange(8.0).reshape(8, 1))
-    a1, b1 = tabular.split(t, tabular.SplitSpec(0.5, seed=3))
-    a2, b2 = tabular.split(t, tabular.SplitSpec(0.5, seed=3))
-    np.testing.assert_array_equal(a1.values, a2.values)
-    np.testing.assert_array_equal(b1.values, b2.values)
-    a3, _ = tabular.split(t, tabular.SplitSpec(0.5, seed=4))
-    assert not np.array_equal(a1.values, a3.values)
-    with pytest.raises(UsageError):
-        tabular.SplitSpec(0.0)
-    tiny = tabular.Table(("a",), np.array([[1.0], [2.0]]))
-    with pytest.raises(UsageError):
-        tabular.split(tiny, tabular.SplitSpec(0.05, seed=0))

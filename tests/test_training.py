@@ -264,6 +264,7 @@ def test_two_step_ledger_covers_both_phases():
     _, _, rep = training.train_two_step(data, cfg)
     q = 10 / data.n
     assert rep.steps == 40
+    assert cfg.releases == 20 and replace(cfg, two_step=True).releases == rep.steps
     eps1 = dp.epsilon_for(q, 1.5, 20, cfg.dp.delta)
     eps2 = dp.epsilon_for(q, 1.5, 40, cfg.dp.delta)
     assert abs(rep.epsilon_phase1 - eps1) < 1e-12
