@@ -1,9 +1,9 @@
 """Walk through the privacy accountant, from one step to a full budget.
 
 The trainer releases each discriminator update through the subsampled
-Gaussian mechanism. The accountant tracks the Renyi divergence cost of every
-release across a grid of orders and converts the running total into an
-(epsilon, delta) statement at the end.
+Gaussian mechanism. The accountant keeps the Renyi divergence cost of the
+releases as one curve over a grid of orders, adds the curves of further
+releases to it, and converts the total into an (epsilon, delta) statement.
 """
 
 import numpy as np
@@ -18,12 +18,12 @@ for q in (1.0, 0.1, 0.004):
     print(f"q = {q:<6} per-step cost at orders 2/8/32: "
           + "  ".join(f"{c:.2e}" for c in costs))
 
-# Costs add across steps, so a ledger is just a running sum per order.
-cfg = dp.DpConfig(noise_multiplier=sigma, sample_rate=50 / 12384)
-ledger = dp.ledger_compose(dp.new_ledger(), cfg, steps=7000)
-eps, order = dp.eps_and_order(ledger)
+# Costs add across steps: the ledger is the sum of the rdp curves of the
+# releases, here 3000 steps and then 4000 more (the same as 7000 at once).
+curve = dp.rdp(50 / 12384, sigma, 3000) + dp.rdp(50 / 12384, sigma, 4000)
+eps, order = dp.eps_and_order(curve, delta=1e-5)
 print(f"\n7000 steps at q = 50/12384, sigma = 2: "
-      f"epsilon = {eps:.4f} at delta = {ledger.delta:g} (best order {order})")
+      f"epsilon = {eps:.4f} at delta = 1e-05 (best order {order})")
 
 # More noise, less budget spent: epsilon falls monotonically in sigma.
 print("\nsigma -> epsilon (same run length):")
@@ -42,6 +42,6 @@ print(f"\ntarget epsilon = 1.0 -> calibrated sigma = {sigma_cal:.4f} "
 # coordinate.
 rng = np.random.default_rng(0)
 grads = rng.standard_normal((50, 8)) * 3.0
-release_cfg = dp.DpConfig(clip_norm=1.0, noise_multiplier=sigma, sample_rate=0.01)
+release_cfg = dp.DpConfig(clip_norm=1.0, noise_multiplier=sigma)
 noisy_mean = dp.privatize(grads, release_cfg, rng)
 print(f"\nprivate gradient release (B = 50, C = 1): {np.round(noisy_mean, 4)}")

@@ -2,8 +2,8 @@
 
 Three changes relative to the non-private run: batches become Poisson
 subsamples of the table, each per-example critic gradient is clipped and the
-averaged update carries Gaussian noise, and a ledger accumulates the privacy
-cost of every step. The generator never touches the real rows, so its
+averaged update carries Gaussian noise, and the privacy cost of every step
+is added to the run's RDP curve. The generator never touches the real rows, so its
 updates are free.
 """
 
@@ -33,13 +33,12 @@ for sigma in (0.0, 1.0, 4.0):
     eps = "inf (non-private)" if report.non_private else f"{report.epsilon:.3f}"
     print(f"sigma = {sigma:<4} epsilon = {eps:<20} held-out wd_table = {wd:.3f}")
 
-# The ledger is re-derivable from the run's public facts alone: sampling
-# rate, noise multiplier, and step count.
-q = 100 / data.n
-recomputed = dp.epsilon_for(q, 4.0, 1500, 1e-5)
-print(f"\nledger check at sigma = 4: reported {report.epsilon:.12f}")
-print(f"                   recomputed {recomputed:.12f}")
+# Epsilon is re-derivable from the run's public facts alone: table size,
+# batch, noise multiplier, and step count.
+recomputed = dp.account_report(data.n, 100, 4.0, 1500, 1e-5)["epsilon"]
+print(f"\nepsilon check at sigma = 4: reported {report.epsilon:.12f}")
+print(f"                    recomputed {recomputed:.12f}")
 
 # Planning ahead of a run: how much noise does a named budget require?
-sigma_needed = dp.calibrate_sigma(dp.PrivacySpec(epsilon=2.0, delta=1e-5), q, 1500)
+sigma_needed = dp.calibrate_sigma(dp.PrivacySpec(epsilon=2.0, delta=1e-5), 100 / data.n, 1500)
 print(f"\nbudget epsilon = 2 over the same schedule needs sigma = {sigma_needed:.3f}")

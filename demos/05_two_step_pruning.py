@@ -4,8 +4,9 @@ The group penalty shrinks each input's whole dependence, its input-map row
 together with its skip entry, so a small row norm is evidence that a column
 does not need that dependency. With ``two_step=True`` the trainer
 thresholds those norms midway: rows below tau are zeroed and frozen, and
-phase two retrains only the surviving structure. Both phases draw from the
-same privacy ledger, so the final epsilon covers the whole pipeline.
+phase two retrains only the surviving structure. Both phases add their
+releases to the same RDP curve, so the final epsilon covers the whole
+pipeline.
 """
 
 import numpy as np

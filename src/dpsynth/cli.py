@@ -295,6 +295,8 @@ def cmd_benchmark(args) -> int:
         raise UsageError("--grid and --sigmas must be non-empty")
     if args.repeats < 1:
         raise UsageError(f"--repeats must be >= 1, got {args.repeats}")
+    if args.d < 2:
+        raise UsageError(f"--d must be >= 2 (the two-way TVD needs two columns), got {args.d}")
     base = _train_config(_settings(args, refused=BENCHMARK_SETS + (field_name,)))
     rows = []
     for rep in range(args.repeats):

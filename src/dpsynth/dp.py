@@ -7,16 +7,16 @@ Accounting uses the integer-order bound
                       * exp(k (k-1) / (2 sigma^2)) ) / (alpha - 1)
 
 evaluated in log space. At q = 1 the sum collapses and rho(alpha) is exactly
-alpha / (2 sigma^2), the plain Gaussian-mechanism value. RDP composes
-additively over steps; the (epsilon, delta) conversion is
+alpha / (2 sigma^2), the plain Gaussian-mechanism value. RDP composes by
+adding curves, so a run's privacy ledger is one array of rho over
+DEFAULT_ORDERS; the (epsilon, delta) conversion is
 epsilon = min_alpha [ rho_total(alpha) + log(1/delta) / (alpha - 1) ].
 
 Usage sketch::
 
-    cfg = DpConfig(clip_norm=1.0, noise_multiplier=2.0, sample_rate=50 / 12384)
-    ledger = new_ledger(cfg.orders, delta=1e-5)
-    ledger = ledger_compose(ledger, cfg, steps=7000)
-    eps = eps_from_ledger(ledger)
+    ledger = rdp(q=50 / 12384, sigma=2.0, steps=7000)
+    ledger = ledger + rdp(q=50 / 12384, sigma=4.0, steps=1000)  # composition adds
+    eps, order = eps_and_order(ledger, delta=1e-5)
 """
 
 from __future__ import annotations
@@ -39,16 +39,10 @@ _CAL_SLACK = 1e-3
 
 @dataclass
 class DpConfig:
-    """Knobs of the private gradient release.
-
-    ``sample_rate`` may be left as None and filled in where the data size is
-    known (the trainer uses batch / n); accounting requires it to be set.
-    """
+    """Knobs of the private gradient release."""
 
     clip_norm: float = 1.0
     noise_multiplier: float = 0.0
-    sample_rate: float | None = None
-    orders: tuple = DEFAULT_ORDERS
     delta: float = DEFAULT_DELTA
 
     def __post_init__(self):
@@ -56,13 +50,7 @@ class DpConfig:
             raise UsageError(f"clip_norm must be positive and finite, got {self.clip_norm}")
         if not 0 <= self.noise_multiplier < math.inf:
             raise UsageError(f"noise_multiplier must be finite and >= 0, got {self.noise_multiplier}")
-        if self.sample_rate is not None and not (0.0 < self.sample_rate <= 1.0):
-            raise UsageError(f"sample_rate must lie in (0, 1], got {self.sample_rate}")
-        self.orders = tuple(int(a) for a in self.orders)
-        if not self.orders or any(a < 2 for a in self.orders):
-            raise UsageError("orders must be integers >= 2")
-        if not (0.0 < self.delta < 1.0):
-            raise UsageError(f"delta must lie in (0, 1), got {self.delta}")
+        _check_delta(self.delta)
 
 
 @dataclass
@@ -73,28 +61,14 @@ class PrivacySpec:
     delta: float = DEFAULT_DELTA
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise UsageError(f"epsilon must be positive, got {self.epsilon}")
-        if not (0.0 < self.delta < 1.0):
-            raise UsageError(f"delta must lie in (0, 1), got {self.delta}")
+        if not 0 < self.epsilon < math.inf:
+            raise UsageError(f"epsilon must be positive and finite, got {self.epsilon}")
+        _check_delta(self.delta)
 
 
-@dataclass
-class PrivacyLedger:
-    """Accumulated RDP per order, plus the step count it covers."""
-
-    orders: tuple
-    rho: np.ndarray
-    steps: int = 0
-    delta: float = DEFAULT_DELTA
-
-    def copy(self) -> "PrivacyLedger":
-        return PrivacyLedger(self.orders, self.rho.copy(), self.steps, self.delta)
-
-
-def new_ledger(orders=DEFAULT_ORDERS, delta: float = DEFAULT_DELTA) -> PrivacyLedger:
-    orders = tuple(int(a) for a in orders)
-    return PrivacyLedger(orders, np.zeros(len(orders)), 0, delta)
+def _check_delta(delta: float) -> None:
+    if not (0.0 < delta < 1.0):
+        raise UsageError(f"delta must lie in (0, 1), got {delta}")
 
 
 # ---------------------------------------------------------------------------
@@ -174,49 +148,35 @@ def rdp_subsampled_gaussian(q: float, sigma: float, alpha: int) -> float:
     return max(0.0, total / (alpha - 1))
 
 
-def ledger_compose(ledger: PrivacyLedger, cfg: DpConfig, steps: int) -> PrivacyLedger:
-    """Account for `steps` further releases under cfg; additive in the RDP curve."""
+def rdp(q: float, sigma: float, steps: int) -> np.ndarray:
+    """RDP curve over DEFAULT_ORDERS of `steps` releases at sample rate q and
+    noise sigma; a run's ledger is the sum of such curves."""
     if steps < 0:
         raise UsageError(f"steps must be >= 0, got {steps}")
-    if cfg.sample_rate is None:
-        raise UsageError("sample_rate must be set before accounting")
-    out = ledger.copy()
+    if not 0 <= sigma < math.inf:
+        raise UsageError(f"sigma must be finite and >= 0, got {sigma}")
     if steps == 0:
-        return out
-    per_step = np.array(
-        [rdp_subsampled_gaussian(cfg.sample_rate, cfg.noise_multiplier, a) for a in ledger.orders]
-    )
-    out.rho = out.rho + steps * per_step
-    out.steps += steps
-    return out
+        return np.zeros(len(DEFAULT_ORDERS))
+    return steps * np.array([rdp_subsampled_gaussian(q, sigma, a) for a in DEFAULT_ORDERS])
 
 
-def eps_and_order(ledger: PrivacyLedger):
-    """Best (epsilon, order) over the ledger's RDP curve."""
-    if not (0.0 < ledger.delta < 1.0):
-        raise UsageError(f"delta must lie in (0, 1), got {ledger.delta}")
-    log_term = math.log(1.0 / ledger.delta)
-    best_eps = math.inf
-    best_order = ledger.orders[0]
-    for a, r in zip(ledger.orders, ledger.rho):
-        eps = r + log_term / (a - 1)
-        if eps < best_eps:
-            best_eps = eps
-            best_order = a
-    return best_eps, best_order
+def eps_and_order(rho: np.ndarray, delta: float):
+    """Best (epsilon, order) over an RDP curve on DEFAULT_ORDERS; (inf, None)
+    when no order is finite."""
+    _check_delta(delta)
+    eps = rho + math.log(1.0 / delta) / (np.array(DEFAULT_ORDERS) - 1)
+    best = int(np.argmin(eps))
+    if not math.isfinite(eps[best]):
+        return math.inf, None
+    return eps[best], DEFAULT_ORDERS[best]
 
 
-def eps_from_ledger(ledger: PrivacyLedger) -> float:
-    return eps_and_order(ledger)[0]
+def epsilon_for(q: float, sigma: float, steps: int, delta: float) -> float:
+    """Epsilon of `steps` subsampled-Gaussian releases from scratch."""
+    return eps_and_order(rdp(q, sigma, steps), delta)[0]
 
 
-def epsilon_for(q: float, sigma: float, steps: int, delta: float, orders=DEFAULT_ORDERS) -> float:
-    """Convenience: epsilon of `steps` subsampled-Gaussian releases from scratch."""
-    cfg = DpConfig(clip_norm=1.0, noise_multiplier=sigma, sample_rate=q, orders=orders, delta=delta)
-    return eps_from_ledger(ledger_compose(new_ledger(orders, delta), cfg, steps))
-
-
-def calibrate_sigma(target: PrivacySpec, q: float, steps: int, orders=DEFAULT_ORDERS) -> float:
+def calibrate_sigma(target: PrivacySpec, q: float, steps: int) -> float:
     """Smallest noise multiplier (up to a 0.1% band) meeting the target budget.
 
     Bisects sigma in [1e-2, 1e3] until epsilon lands in
@@ -231,7 +191,7 @@ def calibrate_sigma(target: PrivacySpec, q: float, steps: int, orders=DEFAULT_OR
     band_lo = target.epsilon * (1.0 - _CAL_SLACK)
 
     def eps_at(sigma: float) -> float:
-        return epsilon_for(q, sigma, steps, target.delta, orders)
+        return epsilon_for(q, sigma, steps, target.delta)
 
     eps_lo, eps_hi = eps_at(lo), eps_at(hi)
     if not eps_lo > eps_hi:
@@ -269,23 +229,11 @@ def sample_rate(n: int, batch: int) -> float:
     return batch / n
 
 
-def account_report(
-    n: int,
-    batch: int,
-    sigma: float,
-    steps: int,
-    delta: float = DEFAULT_DELTA,
-    orders=DEFAULT_ORDERS,
-) -> dict:
+def account_report(n: int, batch: int, sigma: float, steps: int, delta: float = DEFAULT_DELTA) -> dict:
     """JSON-ready accounting summary for a planned or finished run."""
     q = sample_rate(n, batch)
-    cfg = DpConfig(clip_norm=1.0, noise_multiplier=sigma, sample_rate=q, orders=orders, delta=delta)
-    ledger = ledger_compose(new_ledger(orders, delta), cfg, steps)
-    non_private = sigma == 0.0
-    if non_private:
-        eps, order = math.inf, None
-    else:
-        eps, order = eps_and_order(ledger)
+    rho = rdp(q, sigma, steps)
+    eps, order = eps_and_order(rho, delta)
     return {
         "n": n,
         "batch": batch,
@@ -293,9 +241,9 @@ def account_report(
         "sigma": sigma,
         "steps": steps,
         "delta": delta,
-        "orders": list(ledger.orders),
-        "rho": [None if not math.isfinite(r) else r for r in ledger.rho],
+        "orders": list(DEFAULT_ORDERS),
+        "rho": [None if not math.isfinite(r) else r for r in rho],
         "epsilon": None if not math.isfinite(eps) else eps,
         "best_order": order,
-        "non_private": non_private,
+        "non_private": sigma == 0.0,
     }

@@ -14,8 +14,8 @@ therefore skipped.
 
 With ``TrainConfig.two_step`` the same loop runs a second phase: it trains
 penalized, prunes weak prefix rows to exact zero, then re-optimizes without
-the penalty while the frozen rows stay pinned; the privacy ledger spans
-both phases.
+the penalty while the frozen rows stay pinned; one RDP curve covers both
+phases.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ class TrainConfig:
 
     @property
     def releases(self) -> int:
-        """The run's noisy critic releases, all on one ledger: steps per phase."""
+        """The run's noisy critic releases, all on one RDP curve: steps per phase."""
         return self.steps * len(self.penalties)
 
 
@@ -133,7 +133,7 @@ def _run_phase(
     g,
     f,
     cfg: TrainConfig,
-    dp_cfg: dp.DpConfig,
+    q: float,
     sched: models.PenaltySchedule,
     rngs,
 ) -> int:
@@ -153,7 +153,7 @@ def _run_phase(
     buf = np.empty((2, 0, f.nu.size))
     for start in range(0, cfg.steps, cfg.t_g):
         stop = min(start + cfg.t_g, cfg.steps)
-        batches = [poisson_batch(data.n, dp_cfg.sample_rate, rng_batch) for _ in range(start, stop)]
+        batches = [poisson_batch(data.n, q, rng_batch) for _ in range(start, stop)]
         ends = np.cumsum([idx.size for idx in batches])
         n_fake = int(ends[-1])
         largest = max(idx.size for idx in batches)
@@ -166,7 +166,7 @@ def _run_phase(
             if idx.size == 0:
                 continue
             grads = models.disc_loss_grads_batch(f, data.rows(idx), fakes[end - idx.size : end], buf)[0]
-            release = dp.privatize(grads, dp_cfg, rng_noise)
+            release = dp.privatize(grads, cfg.dp, rng_noise)
             if not np.all(np.isfinite(release)):
                 raise TrainingDiverged(f"non-finite critic release at step {t}")
             f.nu -= cfg.eta_nu * release
@@ -183,15 +183,11 @@ def _run_phase(
     return gen_updates
 
 
-def _epsilon(cfg: TrainConfig, ledger) -> float:
-    return math.inf if cfg.dp.noise_multiplier == 0.0 else dp.eps_from_ledger(ledger)
-
-
-def _finish_report(cfg, q, ledger, gen_updates, g, mask, eps1, t0) -> TrainReport:
+def _finish_report(cfg, q, eps, gen_updates, g, mask, eps1, t0) -> TrainReport:
     sigma = cfg.dp.noise_multiplier
     return TrainReport(
         seed=cfg.seed,
-        steps=ledger.steps,
+        steps=cfg.releases,
         gen_updates=gen_updates,
         batch=cfg.batch,
         t_g=cfg.t_g,
@@ -199,7 +195,7 @@ def _finish_report(cfg, q, ledger, gen_updates, g, mask, eps1, t0) -> TrainRepor
         sample_rate=q,
         clip_norm=cfg.dp.clip_norm,
         delta=cfg.dp.delta,
-        epsilon=_epsilon(cfg, ledger),
+        epsilon=eps,
         epsilon_phase1=eps1,
         non_private=sigma == 0.0,
         row_norm_table=[norms.tolist() for norms in models.row_norms(g)],
@@ -219,25 +215,24 @@ def train(data: Table, cfg: TrainConfig):
     """
     t0 = time.perf_counter()
     q = dp.sample_rate(data.n, cfg.batch)
-    dp_cfg = replace(cfg.dp, sample_rate=q)
+    per_step = dp.rdp(q, cfg.dp.noise_multiplier, 1)
     rngs = _streams(cfg.seed)
     rng_init = rngs[0]
     g = models.new_generator(
         data.d, rng_init, out_gain=cfg.init_out_gain, noise_gain=cfg.init_noise_gain
     )
     f = models.new_discriminator(data.d, cfg.clamp, rng_init)
-    ledger = dp.new_ledger(cfg.dp.orders, cfg.dp.delta)
     gen_updates = 0
     mask = eps1 = None
     for phase, lam in enumerate(cfg.penalties):
         if phase == 1:
-            eps1 = _epsilon(cfg, ledger)
+            eps1, _ = dp.eps_and_order(cfg.steps * per_step, cfg.dp.delta)
             g, frozen = models.prune(g, cfg.tau)
             mask = [m.tolist() for m in frozen]
         sched = models.PenaltySchedule(lam, cfg.gamma)
-        gen_updates += _run_phase(data, g, f, cfg, dp_cfg, sched, rngs)
-        ledger = dp.ledger_compose(ledger, dp_cfg, cfg.steps)
-    return g, f, _finish_report(cfg, q, ledger, gen_updates, g, mask, eps1, t0)
+        gen_updates += _run_phase(data, g, f, cfg, q, sched, rngs)
+    eps, _ = dp.eps_and_order(cfg.releases * per_step, cfg.dp.delta)
+    return g, f, _finish_report(cfg, q, eps, gen_updates, g, mask, eps1, t0)
 
 
 def train_two_step(data: Table, cfg: TrainConfig):

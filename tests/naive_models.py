@@ -47,19 +47,19 @@ def naive_discriminator(f, x):
     return h[0]
 
 
-def naive_run_phase(data, g, f, cfg, dp_cfg, sched, rngs):
+def naive_run_phase(data, g, f, cfg, q, sched, rngs):
     """``training._run_phase`` one step at a time: each step samples its own
     fakes, and every t_g-th step then draws the generator's noise. It keeps
     no divergence guard; it is an arithmetic oracle only."""
     _, rng_batch, rng_z, rng_noise = rngs
     gen_updates = 0
     for t in range(1, cfg.steps + 1):
-        idx = training.poisson_batch(data.n, dp_cfg.sample_rate, rng_batch)
+        idx = training.poisson_batch(data.n, q, rng_batch)
         if idx.size > 0:
             Zb = rng_z.standard_normal((idx.size, data.d))
             fakes = models.sample_batch(g, Zb)
             grads = models.disc_loss_grads_batch(f, data.rows(idx), fakes)[0]
-            f.nu -= cfg.eta_nu * dp.privatize(grads, dp_cfg, rng_noise)
+            f.nu -= cfg.eta_nu * dp.privatize(grads, cfg.dp, rng_noise)
             models.clip_weights(f)
         if t % cfg.t_g == 0:
             Zg = rng_z.standard_normal((cfg.batch, data.d))

@@ -491,7 +491,17 @@ def test_non_finite_settings_are_usage_errors(tmp_path):
         assert run_cli("train", "--data", sim / "data.csv", "--steps", 10, "--batch", 20,
                        *flags, "--out", out) == 2, flags
         assert not out.exists(), flags
-    assert run_cli("account", "--n", 100, "--batch", 10, "--steps", 10, "--sigma", "inf") == 2
+    for flags in (("--epsilon", "nan"), ("--epsilon", "inf")):
+        out = tmp_path / f"train{flags[1]}"
+        assert run_cli("train", "--data", sim / "data.csv", "--steps", 10, "--batch", 20,
+                       *flags, "--out", out) == 2, flags
+        assert not out.exists(), flags
+    account = ("account", "--n", 100, "--batch", 10, "--steps", 10)
+    for flags in (("--sigma", "inf"), ("--epsilon", "nan"), ("--epsilon", "inf"),
+                  ("--sigma", 1, "--delta", "nan")):
+        out = tmp_path / f"account{flags[1]}"
+        assert run_cli(*account, *flags, "--out", out) == 2, flags
+        assert not out.exists(), flags
     assert run_cli("simulate", "--d", 3, "--n", 10, "--edges", "inf", "--out", tmp_path / "s") == 2
     assert not (tmp_path / "s").exists()
 
@@ -503,7 +513,8 @@ BENCH = ("benchmark", "--sweep", "lambda", "--grid", "0.003", "--repeats", 1, "-
 def test_benchmark_checks_its_inputs_before_creating_out(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"stepz": 5}))
-    for name, flags in {"unknown_key": ("--config", bad), "batch_over_n": ("--batch", 200)}.items():
+    cases = {"unknown_key": ("--config", bad), "batch_over_n": ("--batch", 200), "one_column": ("--d", 1)}
+    for name, flags in cases.items():
         out = tmp_path / name
         assert run_cli(*BENCH, *flags, "--out", out) == 2, name
         assert not out.exists(), name

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import mpmath as mp
 import numpy as np
@@ -144,16 +145,20 @@ def test_rdp_limits_and_monotonicity():
 
 
 def test_ledger_composition_is_additive():
-    cfg = dp.DpConfig(noise_multiplier=1.3, sample_rate=0.02)
-    split = dp.ledger_compose(dp.ledger_compose(dp.new_ledger(), cfg, 3), cfg, 4)
-    whole = dp.ledger_compose(dp.new_ledger(), cfg, 7)
-    assert split.steps == whole.steps == 7
-    np.testing.assert_allclose(split.rho, whole.rho, rtol=0, atol=1e-12)
+    split = dp.rdp(0.02, 1.3, 3) + dp.rdp(0.02, 1.3, 4)
+    whole = dp.rdp(0.02, 1.3, 7)
+    assert split.shape == whole.shape == (len(dp.DEFAULT_ORDERS),)
+    np.testing.assert_allclose(split, whole, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(dp.rdp(0.02, 0.0, 0), np.zeros(len(dp.DEFAULT_ORDERS)))
 
 
 def test_eps_single_order_hand_value():
-    ledger = dp.PrivacyLedger((2,), np.array([0.0]), steps=1, delta=math.exp(-1))
-    assert abs(dp.eps_from_ledger(ledger) - 1.0) < 1e-15
+    rho = np.full(len(dp.DEFAULT_ORDERS), math.inf)
+    rho[0] = 0.0  # only order 2 is finite
+    eps, order = dp.eps_and_order(rho, math.exp(-1))
+    assert abs(eps - 1.0) < 1e-15 and order == 2
+    assert dp.eps_and_order(rho + math.inf, 1e-5) == (math.inf, None)
+    assert dp.eps_and_order(dp.rdp(0.1, 0.0, 5), 1e-5) == (math.inf, None)  # sigma = 0
 
 
 def test_eps_decreases_with_sigma():
@@ -191,6 +196,20 @@ def test_config_validation():
     with pytest.raises(UsageError):
         dp.DpConfig(noise_multiplier=-1.0)
     with pytest.raises(UsageError):
-        dp.DpConfig(sample_rate=1.5)
+        dp.DpConfig(delta=1.0)
+    assert [f.name for f in fields(dp.DpConfig)] == ["clip_norm", "noise_multiplier", "delta"]
+    for sigma in (-1.0, math.inf, math.nan):
+        with pytest.raises(UsageError):
+            dp.rdp(0.1, sigma, 5)
+    with pytest.raises(UsageError):
+        dp.rdp(0.1, 1.0, -1)
+    with pytest.raises(UsageError):
+        dp.rdp(1.5, 1.0, 5)
+    for delta in (0.0, 1.0, math.nan):
+        with pytest.raises(UsageError):
+            dp.eps_and_order(dp.rdp(0.1, 1.0, 5), delta)
+    for epsilon in (0.0, math.inf, math.nan):
+        with pytest.raises(UsageError):
+            dp.PrivacySpec(epsilon)
     with pytest.raises(UsageError):
         dp.rdp_subsampled_gaussian(0.5, 1.0, 1)

@@ -138,8 +138,7 @@ def test_ledger_matches_from_scratch_recomputation():
     )
     _, _, rep = training.train(data, cfg)
     q = 10 / data.n
-    fresh = dp.epsilon_for(q, 1.2, 30, cfg.dp.delta)
-    assert abs(rep.epsilon - fresh) < 1e-12
+    assert rep.epsilon == dp.account_report(data.n, 10, 1.2, 30, cfg.dp.delta)["epsilon"]
     assert rep.sample_rate == q
     assert not rep.non_private
 
@@ -165,8 +164,7 @@ def test_empty_batches_are_skipped_but_accounted():
     rng_batch = training._streams(4)[1]  # replay the run's batch draws
     sizes = [training.poisson_batch(100, 0.01, rng_batch).size for _ in range(60)]
     assert 0 in sizes  # q = 0.01 surely yields empty batches
-    fresh = dp.epsilon_for(0.01, 1.0, 60, cfg.dp.delta)
-    assert abs(rep.epsilon - fresh) < 1e-12
+    assert rep.epsilon == dp.account_report(100, 1, 1.0, 60, cfg.dp.delta)["epsilon"]
 
 
 def test_divergence_guard_raises():
@@ -262,13 +260,10 @@ def test_two_step_ledger_covers_both_phases():
         steps=20, batch=10, t_g=5, seed=8, dp=dp.DpConfig(noise_multiplier=1.5)
     )
     _, _, rep = training.train_two_step(data, cfg)
-    q = 10 / data.n
     assert rep.steps == 40
     assert cfg.releases == 20 and replace(cfg, two_step=True).releases == rep.steps
-    eps1 = dp.epsilon_for(q, 1.5, 20, cfg.dp.delta)
-    eps2 = dp.epsilon_for(q, 1.5, 40, cfg.dp.delta)
-    assert abs(rep.epsilon_phase1 - eps1) < 1e-12
-    assert abs(rep.epsilon - eps2) < 1e-12
+    assert rep.epsilon_phase1 == dp.account_report(data.n, 10, 1.5, 20, cfg.dp.delta)["epsilon"]
+    assert rep.epsilon == dp.account_report(data.n, 10, 1.5, 40, cfg.dp.delta)["epsilon"]
     assert rep.epsilon_phase1 < rep.epsilon
 
 
