@@ -4,6 +4,8 @@ The CLI maps these onto exit codes: usage errors exit 2, data problems 3,
 numeric failures 4, calibration failures 5.
 """
 
+from __future__ import annotations
+
 
 class UsageError(ValueError):
     """A caller violated a documented precondition (bad argument, bad combo)."""
@@ -26,7 +28,20 @@ class NumericError(ArithmeticError):
 
 
 class TrainingDiverged(NumericError):
-    """Training objective or parameters left the finite, bounded regime."""
+    """Training objective or parameters left the finite, bounded regime.
+
+    Carries where: ``step`` within ``phase`` (both counted from 1), and
+    ``epsilon``, the privacy spent on the releases made up to that step;
+    ``training.train`` fills in the last two."""
+
+    def __init__(self, reason: str, step: int, phase: int | None = None, epsilon: float | None = None):
+        super().__init__(reason, step, phase, epsilon)
+        self.reason, self.step, self.phase, self.epsilon = reason, step, phase, epsilon
+
+    def __str__(self) -> str:
+        where = f" of phase {self.phase}" if self.phase is not None else ""
+        spent = f"; epsilon spent so far {self.epsilon:g}" if self.epsilon is not None else ""
+        return f"{self.reason} at step {self.step}{where}{spent}"
 
 
 class MetricError(NumericError):

@@ -8,19 +8,31 @@ the pair count). Jensen-Shannon is summed over columns in natural log.
 
 The pairwise metrics (the median-heuristic bandwidth and MMD) never build
 the (n, m, d) difference tensor of whole tables. They walk the distances in
-tiles held in one reused 1 MB buffer, so memory stays bounded at any row
-count. A tile is built column-major, one slab per column, and its slabs are
-summed in numpy's own reduction order, so each squared distance is bit for
-bit what the dense tensor gives. MMD sums its Gram blocks tile by tile.
+tiles held in one reused buffer, so memory stays bounded at any row count.
+Two walkers build the tiles. The Gram walk builds a 256 x 256 tile (512 KB)
+as |x|^2 + |y|^2 - 2 x.y with one BLAS product, on rows centred at the
+pool's mean, and bounds each tile's error against the dense formula. The exact
+slab walk builds a tile column-major in a 1 MB buffer, one slab per column,
+and sums its slabs in numpy's own reduction order, so each squared distance
+is bit for bit what the dense tensor gives; it costs about ten times more
+per pair.
 
-The median is an exact selection over the tiles, bit-identical to
-``np.median`` of all pairwise distances. A pool with at most _GATHER_MAX
-pairs is gathered whole in one walk. Above that, the squared distances of
-2^16 random row pairs bracket the two middle ranks, and one walk counts the
-distances below the bracket and gathers those inside it; the ranks are read
-off the gathered keys. Only when that bracket misses the ranks, overflows
-its array, or would hold more than _GATHER_MAX keys (ties) does the
-selection fall back to radix counting passes over the key bits.
+MMD sums exp(-gamma * G) over Gram tiles, unless gamma times the error
+bound of the widest tile is not below _KERNEL_TOL: then the whole call
+walks slab tiles, so MMD stays within 4e-13 of the dense formula.
+
+The median is an exact selection, bit-identical to ``np.median`` of all
+pairwise distances. Above _GATHER_MAX pairs, the squared distances of 2^16
+random row pairs bracket the two middle ranks, and one Gram walk counts the
+pairs more than a tile's err below the bracket, passes over those more than
+err above it, and recomputes the rest by the dense per-pair formula, which
+is exact; those are counted or gathered, and the ranks are read off the
+gathered keys. The slab walk stays only where every distance must be exact
+as built: the whole-pool gather at or below _GATHER_MAX pairs, and the
+radix counting passes over the key bits that run when the bracket misses
+the ranks, overflows its array, or would hold more than _GATHER_MAX keys
+(ties), or when a tile's bound is not finite (rows too large to square);
+and MMD whose kernel the Gram bound cannot keep within _KERNEL_TOL.
 """
 
 from __future__ import annotations
@@ -203,13 +215,22 @@ def _kl(p: np.ndarray, m: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # MMD
 
-# The pairwise metrics hold one (d, rows, cols) tile buffer per pass, of at
-# most _TILE_FLOATS float64 entries (1 MB), and tiles up to _TILE_COLS wide.
-# At d = 10 one pass over 4,000 rows took 0.20 s, against 0.49 s with
-# row-major (rows, cols, d) tiles summed over their last axis; 4 MB,
-# 1,024-column buffers ran slower at d = 30.
+# The slab walk holds one (d, rows, cols) tile buffer per pass, of at most
+# _TILE_FLOATS float64 entries (1 MB), and tiles up to _TILE_COLS wide; at
+# d = 10 it builds a tile at about 29 ns per pair, and 4 MB, 1,024-column
+# buffers ran slower at d = 30. The Gram walk's square tiles are _GRAM_TILE
+# wide (512 KB) and cost about 3 ns per pair (one BLAS thread, 2-CPU host).
 _TILE_FLOATS = 1 << 17
 _TILE_COLS = 128
+_GRAM_TILE = 256
+# MMD walks the slab tiles instead of the Gram tiles when gamma times the
+# error bound of the widest Gram tile (twice the largest centred row norm)
+# is not below _KERNEL_TOL. On the Gram tiles each kernel value then moves
+# by less than _KERNEL_TOL (plus a few roundings), so MMD, two within-sample
+# kernel means plus twice a cross mean, moves by less than 4 * _KERNEL_TOL.
+# On the benchmark's 2,000 + 2,000 x 10 evaluate that product is about
+# 5e-14: a 1e-14 tolerance would send it to the slow walk.
+_KERNEL_TOL = 1e-13
 # Exact selection resolves _DIGIT_BITS key bits per counting pass, and
 # gathers an order statistic's candidates once at most _GATHER_MAX remain.
 _DIGIT_BITS = 16
@@ -220,6 +241,9 @@ _GATHER_MAX = 1 << 20
 # rows the bracket holds about 1/64 of the pairs.
 _SAMPLE_PAIRS = 1 << 16
 _BRACKET_SDS = 4.0
+_UNIT_ROUNDOFF = 2.0**-53
+_SMALLEST_SUBNORMAL = 2.0**-1074
+_INF_KEY = np.float64(np.inf).view(np.uint64)
 
 
 def _sum_slabs(S: np.ndarray) -> np.ndarray:
@@ -280,10 +304,77 @@ def _sq_dist_tiles(X: np.ndarray, Y: np.ndarray, upper: bool = False):
             yield sq[above[: i1 - i0, : j1 - j0]] if upper and j0 == i0 else sq.ravel()
 
 
+def _gram_err(d: int, a, b) -> float:
+    """Bound on |G - the dense formula's value| for a Gram distance between
+    two rows of centred norms at most a and b, over d columns
+    (``_gram_tiles``). Infinite when a + b is 2^500 or more, or NaN: only
+    below that is every G finite."""
+    r = float(a + b)
+    if not r < 2.0**500:
+        return math.inf
+    return 2 * (d + 4) * _UNIT_ROUNDOFF * r * r + (4 * d + 8) * _SMALLEST_SUBNORMAL
+
+
+def _gram_tiles(X: np.ndarray, Y: np.ndarray, upper: bool = False, *, centre: np.ndarray):
+    """Yield (i0, j0, G, err, mask) over square tiles of the squared distances
+    between rows of X and rows of Y: G[r, c] stands for the distance between
+    X[i0 + r] and Y[j0 + c], built as |x|^2 + |y|^2 - 2 x.y with one matrix
+    product per tile, on rows centred at ``centre``.
+
+    ``err`` (``_gram_err``) bounds |G - the dense formula's value| over the
+    tile, whatever order the BLAS sums in (FMA included). With u the unit
+    roundoff, a, b the tile's largest centred row norms and R = (a + b)^2:
+    the norms, the product and the two additions err by at most
+    gamma_{d+2} R (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    section 3.1), the rounding of the centring moves the exact distance by
+    at most about 2u R, and the dense formula errs by at most gamma_{d+2}
+    times the distance; ``err`` is 2 (d + 4) u R, which covers their sum,
+    plus a term for underflow. Where err is finite, so is every G in the
+    tile; where a tile's norms could overflow it, err is infinite.
+
+    With ``upper`` (Y is X) only the tiles j0 >= i0 are walked, and the
+    diagonal tiles (i0 == j0) come with ``mask``, true at the pairs j > i;
+    elsewhere mask is None. G is a view of one 512 KB buffer that the next
+    tile overwrites: a consumer may change it in place."""
+    if X.shape[1] == 0:  # no columns: every distance is the empty sum, 0.0
+        X, Y, centre = np.zeros((X.shape[0], 1)), np.zeros((Y.shape[0], 1)), np.zeros(1)
+    d = X.shape[1]
+    Xc = X - centre
+    Yc = Xc if upper else Y - centre
+    x2 = np.einsum("ij,ij->i", Xc, Xc)
+    y2 = x2 if upper else np.einsum("ij,ij->i", Yc, Yc)
+    YT2 = -2.0 * Yc.T  # exact: a power-of-two scale
+    xn, yn = np.sqrt(x2), np.sqrt(y2)
+    t = _GRAM_TILE
+    buf = np.empty(t * t)
+    above = np.triu(np.ones((t, t), dtype=bool), k=1) if upper else None
+    for i0 in range(0, X.shape[0], t):
+        i1 = min(i0 + t, X.shape[0])
+        a = xn[i0:i1].max()
+        for j0 in range(i0 if upper else 0, Y.shape[0], t):
+            j1 = min(j0 + t, Y.shape[0])
+            G = buf[: (i1 - i0) * (j1 - j0)].reshape(i1 - i0, j1 - j0)
+            np.matmul(Xc[i0:i1], YT2[:, j0:j1], out=G)
+            G += x2[i0:i1, None]
+            G += y2[None, j0:j1]
+            mask = above[: i1 - i0, : j1 - j0] if upper and i0 == j0 else None
+            yield i0, j0, G, _gram_err(d, a, yn[j0:j1].max()), mask
+
+
+def _pair_sq_dists(X: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Squared distances of the row pairs (i[k], j[k]) of X by the dense
+    per-pair formula ``((X[i] - X[j]) ** 2).sum(axis=1)``, bit for bit what
+    the slab tiles and the dense tensor give."""
+    diff = X[i]
+    diff -= X[j]
+    np.square(diff, out=diff)
+    return diff.sum(axis=1)
+
+
 def _sampled_sq_dists(X: np.ndarray, size: int) -> np.ndarray:
     """Squared distances of ``size`` row pairs i != j of X, drawn uniformly
     at random with a fixed seed, computed in blocks of at most _TILE_FLOATS
-    floats. They only place a bracket, so their summation order is free."""
+    floats."""
     n, d = X.shape
     rng = np.random.default_rng(0)
     out = np.empty(size)
@@ -293,10 +384,7 @@ def _sampled_sq_dists(X: np.ndarray, size: int) -> np.ndarray:
         i = rng.integers(0, n, m)
         j = rng.integers(0, n - 1, m)
         j += j >= i
-        diff = X[i]
-        diff -= X[j]
-        np.square(diff, out=diff)
-        diff.sum(axis=1, out=out[s0 : s0 + m])
+        out[s0 : s0 + m] = _pair_sq_dists(X, i, j)
     return out
 
 
@@ -327,21 +415,43 @@ def _bracket(X: np.ndarray, ranks, pairs: int):
 
 def _bracket_select(X: np.ndarray, ranks, pairs: int):
     """Values at ``ranks`` among the squared distances of X's row pairs from
-    one walk, or None when the bracket would hold more than _GATHER_MAX keys,
-    overflows its array, or misses a rank."""
+    one Gram walk, or None when the bracket would hold more than _GATHER_MAX
+    keys, overflows its array, or misses a rank, or when a tile's error
+    bound is not finite (its Gram values could be too).
+
+    A pair whose Gram value lies more than the tile's err below the bracket
+    is counted below it, and one more than err above it is passed over; only
+    the pairs in between are recomputed by the dense per-pair formula, and
+    those exact values are counted or gathered as keys."""
     lo, hi, capacity = _bracket(X, ranks, pairs)
     if capacity > _GATHER_MAX:
         return None
+    lo_f = float(lo.view(np.float64))
+    hi_f = float(hi.view(np.float64)) if hi < _INF_KEY else math.inf
+    step = max(1, _TILE_FLOATS // max(X.shape[1], 1))
     kept = np.empty(capacity, dtype=np.uint64)
     below = filled = 0
-    for sq in _sq_dist_tiles(X, X, upper=True):
-        keys = sq.view(np.uint64)
-        below += np.count_nonzero(keys < lo)
-        sel = keys[(keys >= lo) & (keys <= hi)]
-        if filled + sel.size > capacity:
+    for i0, j0, G, err, mask in _gram_tiles(X, X, upper=True, centre=X.mean(axis=0)):
+        if not math.isfinite(err):
             return None
-        kept[filled : filled + sel.size] = sel
-        filled += sel.size
+        if mask is not None:
+            G[~mask] = np.nan  # fails every comparison: neither below nor near
+        # thresholds rounded outwards, so that G < low_t implies a distance
+        # below lo, and G > high_t one above hi
+        low_t = np.nextafter(lo_f - err, -math.inf)
+        high_t = np.nextafter(hi_f + err, math.inf)
+        below += np.count_nonzero(G < low_t)
+        near = G >= low_t
+        near &= G <= high_t
+        i, j = np.divmod(np.flatnonzero(near), G.shape[1])
+        for s in range(0, i.size, step):
+            keys = _pair_sq_dists(X, i[s : s + step] + i0, j[s : s + step] + j0).view(np.uint64)
+            below += np.count_nonzero(keys < lo)
+            sel = keys[(keys >= lo) & (keys <= hi)]
+            if filled + sel.size > capacity:
+                return None
+            kept[filled : filled + sel.size] = sel
+            filled += sel.size
     if below > min(ranks) or max(ranks) >= below + filled:
         return None
     inside = kept[:filled]
@@ -354,17 +464,17 @@ def _pair_order_statistics(X: np.ndarray, ranks) -> list:
     all row pairs i < j of X, in memory bounded by the tile and gather sizes.
 
     A non-negative float64 sorts like its uint64 bit pattern, its key. Above
-    _GATHER_MAX pairs, one walk first gathers the keys inside a sampled
+    _GATHER_MAX pairs, one Gram walk first gathers the keys inside a sampled
     bracket (``_bracket_select``); when the bracket holds every rank, that
     is the answer. Otherwise, and always at or below _GATHER_MAX pairs, the
-    radix passes run: each rank is narrowed to a group, the keys that share
-    a known top-bit prefix. A counting pass histograms the next _DIGIT_BITS
-    bits of the group's keys and keeps the bucket that holds the rank. A
-    group whose keys are all equal, or whose prefix is all 64 bits, is the
-    value itself, so ties never grow the gathered set. A group of at most
-    _GATHER_MAX keys (the whole pool, when it is that small) is copied into
-    one array of the group's size in one more pass, and the rank is read
-    off with ``np.partition``."""
+    radix passes run over exact slab tiles: each rank is narrowed to a
+    group, the keys that share a known top-bit prefix. A counting pass
+    histograms the next _DIGIT_BITS bits of the group's keys and keeps the
+    bucket that holds the rank. A group whose keys are all equal, or whose
+    prefix is all 64 bits, is the value itself, so ties never grow the
+    gathered set. A group of at most _GATHER_MAX keys (the whole pool, when
+    it is that small) is copied into one array of the group's size in one
+    more pass, and the rank is read off with ``np.partition``."""
     n = X.shape[0]
     pairs = n * (n - 1) // 2
     if pairs > _GATHER_MAX:
@@ -439,7 +549,11 @@ def mmd(a, b, bandwidth: float | None = None) -> float:
 
     Each Gram block is summed tile by tile (numpy sums within a tile, tiles
     added in row-major order); the within-sample blocks sum the pairs j > i
-    and double them, which leaves out the unit diagonal."""
+    and double them, which leaves out the unit diagonal. The tiles come from
+    ``_gram_tiles``, all centred at the pooled mean, unless gamma times the
+    error bound of the widest of them is not below _KERNEL_TOL: then every
+    tile comes from the exact ``_sq_dist_tiles``. Either way the result stays
+    within 4 * _KERNEL_TOL of the dense formula's."""
     A, B = _matrix_pair(a, b)
     n, m = A.shape[0], B.shape[0]
     if n < 2 or m < 2:
@@ -448,10 +562,20 @@ def mmd(a, b, bandwidth: float | None = None) -> float:
     if h <= 0:
         raise MetricError(f"bandwidth must be positive, got {h}")
     gamma = 1.0 / (2.0 * h * h)
+    pool = np.vstack([A, B])
+    centre = pool.mean(axis=0)
+    pool -= centre
+    r = math.sqrt(np.einsum("ij,ij->i", pool, pool).max())
+    exact = not gamma * _gram_err(max(A.shape[1], 1), r, r) < _KERNEL_TOL
+
+    def tiles(X, Y, upper):
+        if exact:
+            return _sq_dist_tiles(X, Y, upper)
+        return (G if mask is None else G[mask] for _, _, G, _, mask in _gram_tiles(X, Y, upper, centre=centre))
 
     def gram_sum(X, Y, upper=False):
         total = 0.0
-        for sq in _sq_dist_tiles(X, Y, upper):
+        for sq in tiles(X, Y, upper):
             np.multiply(sq, -gamma, out=sq)
             total += float(np.exp(sq, out=sq).sum())
         return total

@@ -168,7 +168,7 @@ def _run_phase(
             grads = models.disc_loss_grads_batch(f, data.rows(idx), fakes[end - idx.size : end], buf)[0]
             release = dp.privatize(grads, cfg.dp, rng_noise)
             if not np.all(np.isfinite(release)):
-                raise TrainingDiverged(f"non-finite critic release at step {t}")
+                raise TrainingDiverged("non-finite critic release", t)
             f.nu -= cfg.eta_nu * release
             models.clip_weights(f)
         if gen_step:
@@ -176,8 +176,7 @@ def _run_phase(
             largest = float(np.max(np.abs(g.theta)))
             if not largest <= DIVERGENCE_LIMIT:  # NaN fails the comparison too
                 raise TrainingDiverged(
-                    f"generator parameters reach max |theta| = {largest:g} at step {stop}"
-                    f" (limit {DIVERGENCE_LIMIT:g})"
+                    f"generator parameters reach max |theta| = {largest:g} (limit {DIVERGENCE_LIMIT:g})", stop
                 )
             gen_updates += 1
     return gen_updates
@@ -211,7 +210,9 @@ def train(data: Table, cfg: TrainConfig):
     ``cfg.two_step`` the model is then pruned at ``cfg.tau`` and re-fit for
     another cfg.steps without the penalty; the freeze mask holds through
     phase two (pruned rows stay exactly zero), and the report carries both
-    the end-of-phase-one epsilon and the final one.
+    the end-of-phase-one epsilon and the final one. A ``TrainingDiverged``
+    leaves with its phase and the epsilon of the releases made up to its
+    step.
     """
     t0 = time.perf_counter()
     q = dp.sample_rate(data.n, cfg.batch)
@@ -230,7 +231,12 @@ def train(data: Table, cfg: TrainConfig):
             g, frozen = models.prune(g, cfg.tau)
             mask = [m.tolist() for m in frozen]
         sched = models.PenaltySchedule(lam, cfg.gamma)
-        gen_updates += _run_phase(data, g, f, cfg, q, sched, rngs)
+        try:
+            gen_updates += _run_phase(data, g, f, cfg, q, sched, rngs)
+        except TrainingDiverged as exc:
+            exc.phase = phase + 1
+            exc.epsilon, _ = dp.eps_and_order((phase * cfg.steps + exc.step) * per_step, cfg.dp.delta)
+            raise
     eps, _ = dp.eps_and_order(cfg.releases * per_step, cfg.dp.delta)
     return g, f, _finish_report(cfg, q, eps, gen_updates, g, mask, eps1, t0)
 

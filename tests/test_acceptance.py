@@ -11,6 +11,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 import naive_metrics as nv
 import oracles
@@ -257,6 +258,7 @@ def _selection_run(seed, lam):
     return off_mean, f1
 
 
+@pytest.mark.slow  # ten 14,000-step trainings; deselect with -m "not slow"
 def test_criterion_06_sparsity_recovery():
     t0 = time.time()
     ratios, f1s = [], []

@@ -174,12 +174,13 @@ def test_missing_data_file_is_ingestion_exit(tmp_path):
     assert run_cli("train", "--data", tmp_path / "nope.csv", "--out", tmp_path / "x") == 3
 
 
-def test_divergence_maps_to_numeric_exit(tmp_path):
+def test_divergence_maps_to_numeric_exit(tmp_path, capsys):
     sim = simulate(tmp_path, d=3, n=60)
     rc = run_cli("train", "--data", sim / "data.csv", "--steps", 200, "--batch", 20,
                  "--t-g", 1, "--eta-theta", 1e5, "--eta-nu", 0.5, "--clamp", 2.0,
                  "--sigma", 0, "--out", tmp_path / "div")
     assert rc == 4
+    assert "of phase 1; epsilon spent so far inf" in capsys.readouterr().err  # sigma 0: no privacy
 
 
 def test_generate_deterministic_and_inverse_transformed(tmp_path):
@@ -373,6 +374,18 @@ def test_account_calibration_and_out_file(tmp_path, capsys):
     assert eps <= 0.9 + 1e-12
     assert eps >= 0.9 * (1 - 1e-3)
     assert (out / "manifest.json").exists()
+
+
+def test_main_reuses_one_parser_and_carries_no_values_over(capsys):
+    head = ("account", "--n", 12384, "--batch", 50, "--steps", 7000)
+    assert run_cli(*head, "--sigma", 2.0, "--delta", 1e-6) == 0
+    first = json.loads(capsys.readouterr().out)
+    # a --sigma kept from the first call would make this one exit 2
+    assert run_cli(*head, "--epsilon", 0.9) == 0
+    second = json.loads(capsys.readouterr().out)
+    assert first["sigma"] == 2.0 and first["delta"] == 1e-6 and "calibrated_sigma" not in first
+    assert second["sigma"] == second["calibrated_sigma"] != 2.0 and second["delta"] == 1e-5
+    assert cli._parser.cache_info().currsize == 1
 
 
 def test_account_usage_and_calibration_errors(tmp_path):

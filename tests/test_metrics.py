@@ -277,15 +277,18 @@ def test_pairwise_metrics_run_in_bounded_memory(kind):
 _BRACKET_GATHER_MAX = 1 << 14
 
 
-def _count_walks(monkeypatch) -> list:
+def _count_walks(monkeypatch, names=("_sq_dist_tiles", "_gram_tiles")) -> list:
+    """Record ``upper`` for every pairwise walk by the named tile walkers;
+    by default both, the exact slab walk and the Gram walk."""
     walks = []
-    tiles = metrics._sq_dist_tiles
+    for name in names:
+        tiles = getattr(metrics, name)
 
-    def counted(X, Y, upper=False):
-        walks.append(upper)
-        return tiles(X, Y, upper)
+        def counted(X, Y, upper=False, tiles=tiles, **kw):
+            walks.append(upper)
+            return tiles(X, Y, upper, **kw)
 
-    monkeypatch.setattr(metrics, "_sq_dist_tiles", counted)
+        monkeypatch.setattr(metrics, name, counted)
     return walks
 
 
@@ -368,6 +371,99 @@ def test_bracket_median_peak_memory():
         tracemalloc.stop()
     # the two counting passes that ran here before the bracket peaked at 5.1 MB
     assert peak < 4.0e6
+
+
+# Gram tiles (|x|^2 + |y|^2 - 2 x.y) lose digits to cancellation. The bracket
+# walk recomputes every pair within a tile's error bound of the bracket, and
+# MMD walks exact slab tiles when the widest Gram tile's bound is too wide
+# for 1e-12. These inputs make the cancellation as bad as it gets.
+
+
+def _offset_rows(rng):
+    return rng.standard_normal((300, 5)) + 1e6, 1.3 * rng.standard_normal((300, 5)) + (1e6 + 0.2)
+
+
+def _tight_cluster(rng):
+    # 30 rows about 1 apart, 1e4 away from the 30 rows of B
+    return 1e4 + 0.3 * rng.standard_normal((30, 4)), rng.standard_normal((30, 4))
+
+
+def _split_cluster(rng):
+    # two tight clusters 2e4 apart in one sample, so A's own walk is centred
+    # far from both
+    A = 0.3 * rng.standard_normal((30, 4))
+    A[:15] += 1e4
+    A[15:] -= 1e4
+    return A, rng.standard_normal((30, 4))
+
+
+def _column_scales(rng):
+    scale = 10.0 ** np.linspace(-8, 8, 6)
+    return rng.standard_normal((300, 6)) * scale, (1.5 * rng.standard_normal((300, 6)) + 0.2) * scale
+
+
+def _near_duplicates(rng):
+    # five rows in six within 1e-7 of one point, the rest of another: the
+    # median falls among distances far below the Gram tiles' error bound
+    base = np.array([[1.0, -2.0, 3.0, 0.5], [-1.0, 2.0, -3.0, 0.5]])
+
+    def rows(k):
+        return base[(rng.random(k) < 1 / 6).astype(int)] + 1e-7 * rng.standard_normal((k, 4))
+
+    return rows(300), rows(300)
+
+
+def _too_large_to_square(rng):
+    # 5% of the pooled rows 2e154 away: their centred squared norms
+    # overflow, so Gram values there could be NaN; the distances within each
+    # group are small and finite, and the median falls among them
+    A = rng.standard_normal((300, 5))
+    A[:30] += 2e154
+    return A, rng.standard_normal((300, 5))
+
+
+@pytest.mark.parametrize(
+    "make, walks",
+    [
+        (_offset_rows, 1),
+        (_tight_cluster, 1),
+        (_split_cluster, 1),
+        (_column_scales, 1),
+        (_near_duplicates, 1),
+        (_too_large_to_square, 3),
+    ],
+    ids=["offset_1e6", "tight_cluster", "split_cluster", "column_scales", "near_duplicates", "offset_2e154"],
+)
+def test_gram_bracket_and_mmd_are_exact_on_adversarial_inputs(make, walks, monkeypatch):
+    A, B = make(np.random.default_rng(41))
+    rows = A.shape[0] + B.shape[0]
+    monkeypatch.setattr(metrics, "_GATHER_MAX", rows * (rows - 1) // 2 - 1)
+    with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
+        seen = _count_walks(mp)
+        h = metrics.median_bandwidth(A, B)
+        # the bracket path is one Gram walk; where a tile's bound is not
+        # finite it gives up for a counting pass and a gather
+        assert seen == [True] * walks
+        assert h == nm.dense_median_bandwidth(A, B)
+        for bandwidth in (h, 1.0):
+            assert abs(metrics.mmd(A, B, bandwidth) - nm.dense_mmd(A, B, bandwidth)) <= 1e-12
+
+
+@pytest.mark.parametrize("make", [_tight_cluster, _split_cluster], ids=["tight_cluster", "split_cluster"])
+def test_mmd_guard_fires_on_the_cluster(make, monkeypatch):
+    A, B = make(np.random.default_rng(41))
+    slab_walks = _count_walks(monkeypatch, ("_sq_dist_tiles",))
+    assert abs(metrics.mmd(A, B, 1.0) - nm.dense_mmd(A, B, 1.0)) <= 1e-12
+    assert slab_walks == [True, True, False]  # the whole call walked slab tiles
+
+
+def test_mmd_guard_stays_quiet_on_plain_data(monkeypatch):
+    rng = np.random.default_rng(42)
+    A, B = rng.standard_normal((600, 10)), 1.2 * rng.standard_normal((500, 10)) + 0.1
+    h = metrics.median_bandwidth(A, B)
+    slab_walks = _count_walks(monkeypatch, ("_sq_dist_tiles",))
+    assert abs(metrics.mmd(A, B, h) - nm.dense_mmd(A, B, h)) <= 1e-12
+    assert slab_walks == []  # every tile from one matrix product
 
 
 def test_tvd_row_permutation_invariant_and_symmetric():

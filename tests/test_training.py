@@ -183,6 +183,39 @@ def test_divergence_guard_raises():
         training.train(data, cfg)
 
 
+def test_divergence_carries_step_phase_and_epsilon_spent():
+    data = small_data()
+    cfg = training.TrainConfig(
+        steps=200, batch=20, t_g=5, eta_theta=1e5, seed=0, dp=dp.DpConfig(noise_multiplier=1.0)
+    )
+    with pytest.raises(TrainingDiverged) as info:
+        training.train(data, cfg)
+    exc = info.value
+    assert exc.phase == 1 and exc.step % cfg.t_g == 0 and 0 < exc.step < cfg.steps
+    q = dp.sample_rate(data.n, cfg.batch)
+    assert exc.epsilon == dp.eps_and_order(exc.step * dp.rdp(q, 1.0, 1), cfg.dp.delta)[0]
+    assert 0.0 < exc.epsilon < dp.account_report(data.n, cfg.batch, 1.0, cfg.steps, cfg.dp.delta)["epsilon"]
+    assert str(exc).startswith("generator parameters reach max |theta|")
+    assert f"at step {exc.step} of phase 1; epsilon spent so far {exc.epsilon:g}" in str(exc)
+
+
+def test_divergence_in_phase_two_counts_both_phases(monkeypatch):
+    privatize, calls = dp.privatize, []
+
+    def nan_at_eighth(grads, cfg, rng):
+        calls.append(1)
+        release = privatize(grads, cfg, rng)
+        return release * np.nan if len(calls) == 8 else release
+
+    monkeypatch.setattr(dp, "privatize", nan_at_eighth)
+    # q = 30/60: an empty batch is a 1e-18 event, so call 8 is step 3 of phase 2
+    cfg = training.TrainConfig(steps=5, batch=30, seed=0, two_step=True, dp=dp.DpConfig(noise_multiplier=1.0))
+    with pytest.raises(TrainingDiverged, match="release at step 3 of phase 2") as info:
+        training.train(small_data(), cfg)
+    assert (info.value.step, info.value.phase) == (3, 2)
+    assert info.value.epsilon == dp.account_report(60, 30, 1.0, 8, cfg.dp.delta)["epsilon"]
+
+
 def test_divergence_guard_reads_the_noisy_release(monkeypatch):
     monkeypatch.setattr(dp, "privatize", lambda grads, cfg, rng: np.full(grads.shape[1], np.nan))
     cfg = training.TrainConfig(steps=5, batch=10, seed=0, dp=dp.DpConfig(noise_multiplier=1.0))
