@@ -321,7 +321,7 @@ def generator_grad(
     X, caches = _generator_forward(g, Z_batch)
     B = X.shape[0]
     _, dcaches = disc_forward_batch(f, X)
-    dX = -nn.backward(f.layers, dcaches, np.ones((B, 1)))[0] / B
+    dX = -nn.backward(f.layers, dcaches, np.ones((B, 1)), param_grads=False)[0] / B
 
     grad = np.empty_like(g.theta)
     end = grad.size

@@ -97,7 +97,13 @@ def forward(layers, X: np.ndarray):
 
 
 def backward(
-    layers, caches, delta: np.ndarray, per_example: bool = False, out=None, input_grad: bool = True
+    layers,
+    caches,
+    delta: np.ndarray,
+    per_example: bool = False,
+    out=None,
+    input_grad: bool = True,
+    param_grads: bool = True,
 ):
     """Backpropagate ``delta``, the (B, out) gradient at the stack's output.
 
@@ -108,12 +114,15 @@ def backward(
     per example as (B, P) with ``per_example``. Each layer's pieces are
     written straight into their slices of ``out`` when it is given (a float64
     array of that shape, every entry overwritten, returned itself), else of a
-    new array.
+    new array. With ``param_grads`` False none are computed and the second
+    value is None; the input gradient is the same, bit for bit.
     """
     B = len(delta)
     P = sum(layer.weight.size + layer.bias.size for layer in layers)
     shape = (B, P) if per_example else (P,)
-    if out is None:
+    if not param_grads:
+        out = None
+    elif out is None:
         out = np.empty(shape)
     elif out.shape != shape or out.dtype != np.float64:
         raise ShapeError(f"out is {out.dtype} {out.shape}, expected float64 {shape}")
@@ -122,17 +131,18 @@ def backward(
         layer, (xin, pre) = layers[k], caches[k]
         if layer.activation == LEAKY_RELU:
             delta = delta * leaky_relu_grad(pre)
-        n_out, n_in = layer.weight.shape
-        b0 = end - n_out
-        w0 = b0 - n_out * n_in
-        # splitting the last axis of a slice is always a view, so the products land in out
-        if per_example:
-            out[:, b0:end] = delta
-            np.einsum("bo,bi->boi", delta, xin, out=out[:, w0:b0].reshape(B, n_out, n_in))
-        else:
-            delta.sum(axis=0, out=out[b0:end])
-            np.matmul(delta.T, xin, out=out[w0:b0].reshape(n_out, n_in))
+        if param_grads:
+            n_out, n_in = layer.weight.shape
+            b0 = end - n_out
+            w0 = b0 - n_out * n_in
+            # splitting the last axis of a slice is always a view, so the products land in out
+            if per_example:
+                out[:, b0:end] = delta
+                np.einsum("bo,bi->boi", delta, xin, out=out[:, w0:b0].reshape(B, n_out, n_in))
+            else:
+                delta.sum(axis=0, out=out[b0:end])
+                np.matmul(delta.T, xin, out=out[w0:b0].reshape(n_out, n_in))
+            end = w0
         delta = delta @ layer.weight if k or input_grad else None
-        end = w0
     return delta, out
 

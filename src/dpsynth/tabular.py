@@ -4,21 +4,27 @@ CSV files must carry a header row and contain only finite numbers; nothing
 is imputed, bad cells are reported with their row and column. Values are
 written with shortest round-trip formatting, so write -> read is exact.
 
-Both directions run at about the cost of ``float``/``repr`` themselves:
-``read_csv`` parses a whole record with one ``map(float, ...)`` and tests
-its finiteness with one sum, walking cells one by one only to report a bad
-row, and moves the parsed cells into float64 arrays ``_READ_BLOCK_CELLS``
-at a time; ``write_csv`` formats blocks of whole rows, ``_WRITE_BLOCK_CELLS``
-cells at most, with one ``repr`` pass and one ``write`` each, producing the
-bytes ``csv.writer`` would.
+``read_csv`` runs at about the cost of ``float`` itself: it parses a whole
+record with one ``map(float, ...)`` and tests its finiteness with one sum,
+walking cells one by one only to report a bad row, and moves the parsed
+cells into float64 arrays ``_READ_BLOCK_CELLS`` at a time. ``write_csv``
+formats blocks of whole rows, ``_WRITE_BLOCK_CELLS`` cells at most, with one
+``repr`` pass each, producing the bytes ``csv.writer`` would; ``repr`` is
+most of its time, so on a large table with a second usable CPU a forked
+helper formats every other block. It writes to a temporary sibling and
+renames it at the end, so a failed write leaves no partial file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
+import os
+import threading
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -123,26 +129,132 @@ def _raise_first_bad_cell(path, lineno, names, record) -> None:
             )
 
 
-# Cells per repr pass in write_csv (256 rows at d=10). This bounds memory,
-# it is not a speed knob: a block's floats and strings peak near 0.55 MB at
-# d=10 and d=30, while 1,024 rows at d=10, or 256 rows at d=30, peaked at
-# 1.6 to 2 MB and raised the process's peak RSS.
+# Cells per block in write_csv (256 rows at d=10, about 50 KB of CSV). This
+# bounds memory, it is not a speed knob: a block's floats and strings peak
+# near 0.55 MB at d=10 and d=30, while 1,024 rows at d=10, or 256 rows at
+# d=30, peaked at 1.6 to 2 MB and raised the process's peak RSS. A pipe
+# buffer (64 KB on Linux) holds about one block, so the helper that
+# formats every other block runs at most one block ahead of the file.
 _WRITE_BLOCK_CELLS = 2560
+
+# Blocks a table needs before write_csv forks its helper (163,840 cells). A
+# fork write-protects the parent's pages, and the first write to each one
+# afterwards faults, so the work that follows in the same process slows: an
+# evaluate run after a helper wrote 500 rows took 1,560 more faults and 20%
+# more time. In loops of train, generate and evaluate, a helper for 5,000
+# generated rows cost the other commands more than it saved at d=10 (20
+# blocks: training 9% slower) and about as much at d=30 (59 blocks: the
+# generate 33% faster, set-up 11% and evaluate 7% slower); for 25,000 rows
+# at d=10 (98 blocks) it made the whole loop 23% faster.
+_HELPER_MIN_BLOCKS = 64
 
 
 def write_csv(table: Table, path) -> None:
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(table.names)  # names may need quoting
-        # csv.writer writes a float with str, which is repr, never quotes a
-        # float's repr and ends each row with "\r\n", so joining the reprs
-        # gives its bytes without its per-character field loop.
-        d = table.d
-        rows = max(1, _WRITE_BLOCK_CELLS // max(d, 1))
-        for i in range(0, table.n, rows):
-            block = table.values[i : i + rows]
-            cells = list(map(float.__repr__, block.ravel().tolist()))
-            lines = [",".join(cells[r * d : r * d + d]) + "\r\n" for r in range(len(block))]
-            fh.write("".join(lines))
+    """Write ``table`` to a temporary sibling of ``path`` and rename it onto
+    ``path`` once every row is written; on any failure the sibling is
+    removed and ``path`` is left as it was."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            csv.writer(fh).writerow(table.names)  # names may need quoting
+            fh.flush()
+            _write_rows(fh.buffer, table.values)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+def _format_block(block: np.ndarray) -> bytes:
+    """Whole rows as the bytes csv.writer would write: it writes a float
+    with str, which is repr, never quotes a float's repr and ends each row
+    with "\\r\\n", so joining the reprs skips its per-character field loop."""
+    d = block.shape[1]
+    cells = list(map(float.__repr__, block.ravel().tolist()))
+    lines = [",".join(cells[r * d : r * d + d]) + "\r\n" for r in range(len(block))]
+    return "".join(lines).encode()
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _write_rows(out, values: np.ndarray) -> None:
+    """Write the rows to the binary file ``out`` in blocks of whole rows.
+
+    With a second usable CPU, a forked helper formats every other block
+    and the parent the rest, and the parent writes every block in file
+    order. The helper needs no other Python thread to be running (a fork
+    copies only the calling thread, and a lock another thread holds stays
+    held in the child; the helper calls no BLAS, so BLAS threads do not
+    count) and at least ``_HELPER_MIN_BLOCKS`` blocks; if the fork fails,
+    the parent formats every block itself.
+    """
+    rows = max(1, _WRITE_BLOCK_CELLS // max(values.shape[1], 1))
+    starts = range(0, len(values), rows)
+    helper = None
+    if (
+        len(starts) >= _HELPER_MIN_BLOCKS
+        and hasattr(os, "fork")
+        and threading.active_count() == 1
+        and _usable_cpus() > 1
+    ):
+        helper = _start_helper(values, starts[1::2], rows)
+    if helper is None:
+        for i in starts:
+            out.write(_format_block(values[i : i + rows]))
+        return
+    r, pid = helper
+    try:
+        with open(r, "rb") as pipe:
+            for k, i in enumerate(starts):
+                if k % 2 == 0:
+                    out.write(_format_block(values[i : i + rows]))
+                    continue
+                head = pipe.read(8)
+                size = int.from_bytes(head, "little")
+                data = pipe.read(size) if len(head) == 8 else b""
+                if not data or len(data) != size:
+                    raise OSError("the CSV helper process ended before its last block")
+                out.write(data)
+    finally:
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code != 0:
+        raise OSError(f"the CSV helper process failed with exit code {code}")
+
+
+def _start_helper(values: np.ndarray, starts, rows: int):
+    """Fork a process that formats the blocks at ``starts`` and sends each
+    down a pipe, its length as 8 bytes first; returns the pipe's read end
+    and the process id, or None if no process could be forked. The helper
+    leaves only through ``os._exit``, so it never flushes the file buffer
+    it inherits.
+    """
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            for i in starts:
+                data = _format_block(values[i : i + rows])
+                view = memoryview(len(data).to_bytes(8, "little") + data)
+                while view:
+                    view = view[os.write(w, view) :]
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return r, pid
 
 
 @dataclass

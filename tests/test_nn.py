@@ -92,6 +92,19 @@ def test_backward_without_input_gradient_keeps_parameter_gradients_bit_for_bit()
             np.testing.assert_array_equal(buf.view(np.uint64), want.view(np.uint64))
 
 
+def test_backward_without_parameter_gradients_keeps_the_input_gradient_bit_for_bit():
+    rng = np.random.default_rng(4)
+    layers, _ = _stack(rng)
+    X = rng.normal(size=(6, 3))
+    for stack in (layers, layers[:1]):
+        out, caches = nn.forward(stack, X)
+        delta = rng.normal(size=out.shape)
+        want, _ = nn.backward(stack, caches, delta)
+        got, params = nn.backward(stack, caches, delta, param_grads=False)
+        assert params is None
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_backward_matches_finite_differences():
     rng = np.random.default_rng(1)
     layers, params = _stack(rng)

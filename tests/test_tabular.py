@@ -1,11 +1,13 @@
 import csv
+import os
+import signal
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dpsynth import tabular
+from dpsynth import cli, models, tabular
 from dpsynth.errors import FitError, IngestionError, ShapeError, UsageError
 
 
@@ -147,6 +149,132 @@ def test_write_csv_memory_stays_bounded(tmp_path, n, d):
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Count os.fork calls and report two usable CPUs."""
+    calls = []
+    fork = os.fork
+
+    def counted():
+        calls.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    return calls
+
+
+@pytest.fixture
+def forks(two_cpus, monkeypatch):
+    """As ``two_cpus``, and write_csv splits its blocks with a helper
+    whenever there are two or more."""
+    monkeypatch.setattr(tabular, "_HELPER_MIN_BLOCKS", 2)
+    return two_cpus
+
+
+@pytest.mark.parametrize("blocks", [tabular._HELPER_MIN_BLOCKS - 1, tabular._HELPER_MIN_BLOCKS])
+def test_write_csv_forks_its_helper_from_the_minimum_block_count_on(tmp_path, two_cpus, blocks):
+    vals = np.random.default_rng(blocks).standard_normal((blocks * 256, 10))
+    _assert_same_bytes(tabular.Table(tuple(f"x{j}" for j in range(10)), vals), tmp_path)
+    assert len(two_cpus) == (blocks == tabular._HELPER_MIN_BLOCKS)
+
+
+@pytest.mark.parametrize("d", [1, 10, 30])  # blocks of 2560, 256 and 85 rows
+@pytest.mark.parametrize("blocks", [1, 2, 3, 11])
+def test_write_csv_with_the_helper_matches_the_csv_writer(tmp_path, forks, blocks, d):
+    rows = tabular._WRITE_BLOCK_CELLS // d
+    rng = np.random.default_rng(blocks * 41 + d)
+    names = tuple(f"c{j}" for j in range(d))
+    for n in ((blocks - 1) * rows + 1, blocks * rows):  # a short last block, then a full one
+        scaled = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-8, 9, (n, d))
+        _assert_same_bytes(tabular.Table(names, scaled), tmp_path)
+        bits = rng.integers(0, 2**64, size=(n, d), dtype=np.uint64)
+        _assert_same_bytes(tabular.Table(names, bits.view(np.float64)), tmp_path)  # NaN and inf too
+    assert len(forks) == (0 if blocks == 1 else 4)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["got.csv", "want.csv"]
+
+
+def test_write_csv_on_one_cpu_writes_the_same_bytes_alone(tmp_path, forks, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    vals = np.random.default_rng(8).standard_normal((11 * 256, 10))
+    _assert_same_bytes(tabular.Table(tuple(f"x{j}" for j in range(10)), vals), tmp_path)
+    assert forks == []
+
+
+def test_write_csv_formats_alone_when_the_fork_fails(tmp_path, forks, monkeypatch):
+    def refuse():
+        forks.append(1)
+        raise BlockingIOError("no process to spare")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    fds = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+    vals = np.random.default_rng(8).standard_normal((11 * 256, 10))
+    _assert_same_bytes(tabular.Table(tuple(f"x{j}" for j in range(10)), vals), tmp_path)
+    assert forks == [1]
+    if fds is not None:
+        assert len(os.listdir("/proc/self/fd")) == fds  # the pipe was closed
+
+
+def _in_helper(parent, act):
+    """A block formatter that runs ``act`` in the helper after its first block."""
+    real, done = tabular._format_block, []
+
+    def formatter(block):
+        if os.getpid() != parent:
+            if done:
+                act()
+            done.append(1)
+        return real(block)
+
+    return formatter
+
+
+def _raise():
+    raise RuntimeError("helper failed")
+
+
+@pytest.mark.parametrize(
+    "act",
+    [lambda: os.kill(os.getpid(), signal.SIGKILL), _raise, lambda: os._exit(0)],
+    ids=["killed", "raised", "exit-0"],
+)
+def test_a_helper_that_ends_early_fails_the_write_and_leaves_the_old_file(tmp_path, forks, monkeypatch, act):
+    monkeypatch.setattr(tabular, "_format_block", _in_helper(os.getpid(), act))
+    path = tmp_path / "t.csv"
+    path.write_text("old")
+    vals = np.random.default_rng(9).standard_normal((11 * 256, 10))
+    with pytest.raises(OSError, match="ended before its last block"):
+        tabular.write_csv(tabular.Table(tuple(f"x{j}" for j in range(10)), vals), path)
+    assert forks and path.read_text() == "old"
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+
+def test_a_helper_that_exits_non_zero_fails_the_write(tmp_path, forks, monkeypatch):
+    # every block arrives, but the helper's exit status still counts
+    leave = os._exit
+    monkeypatch.setattr(os, "_exit", lambda code: leave(7))
+    path = tmp_path / "t.csv"
+    with pytest.raises(OSError, match="helper process failed"):
+        tabular.write_csv(tabular.Table(("a", "b"), np.ones((3000, 2))), path)
+    assert forks and list(tmp_path.iterdir()) == []
+
+
+def test_generate_and_simulate_exit_3_and_write_no_csv_when_the_helper_dies(tmp_path, forks, monkeypatch):
+    rng = np.random.default_rng(10)
+    model = tmp_path / "checkpoint.json"
+    models.save_checkpoint(model, models.random_generator(3, rng), models.new_discriminator(3, 0.1, rng))
+    kill = _in_helper(os.getpid(), lambda: os.kill(os.getpid(), signal.SIGKILL))
+    monkeypatch.setattr(tabular, "_format_block", kill)
+    gen, sim = tmp_path / "gen", tmp_path / "sim"
+    # 3,000 rows of 3 columns are four blocks of 853 rows at most, two for the helper
+    assert cli.main(["generate", "--model", str(model), "--n", "3000", "--out", str(gen)]) == 3
+    assert cli.main(["simulate", "--d", "3", "--n", "3000", "--out", str(sim)]) == 3
+    assert len(forks) == 2
+    assert list(gen.iterdir()) == [] and list(sim.iterdir()) == []
 
 
 @pytest.mark.parametrize("d", [1, 3, 10, 30])  # blocks of 2560, 853, 256 and 85 rows
