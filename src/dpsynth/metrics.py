@@ -6,33 +6,24 @@ edge bins. The two-way total-variation headline number is the mean over
 column pairs (the summed variant is reported alongside, since it grows with
 the pair count). Jensen-Shannon is summed over columns in natural log.
 
-The pairwise metrics (the median-heuristic bandwidth and MMD) never build
-the (n, m, d) difference tensor of whole tables. They walk the distances in
-tiles held in one reused buffer, so memory stays bounded at any row count.
-Two walkers build the tiles. The Gram walk builds a 256 x 256 tile (512 KB)
-as |x|^2 + |y|^2 - 2 x.y with one BLAS product, on rows centred at the
-pool's mean, and bounds each tile's error against the dense formula. The exact
-slab walk builds a tile column-major in a 1 MB buffer, one slab per column,
-and sums its slabs in numpy's own reduction order, so each squared distance
-is bit for bit what the dense tensor gives; it costs about ten times more
-per pair.
-
-MMD sums exp(-gamma * G) over Gram tiles, unless gamma times the error
-bound of the widest tile is not below _KERNEL_TOL: then the whole call
-walks slab tiles, so MMD stays within 4e-13 of the dense formula.
+The pairwise metrics (the median-heuristic bandwidth and MMD) need finite
+rows and never build the (n, m, d) difference tensor, so memory stays
+bounded at any row count. One walker, ``_gram_tiles``, builds the squared
+distances in 256 x 256 tiles (one reused 512 KB buffer) as
+|x|^2 + |y|^2 - 2 x.y with one BLAS product, on rows centred at the pool's
+mean, and bounds each tile's error against the dense formula; one exact
+formula, ``_pair_sq_dists``, recomputes a pair bit for bit as the dense
+tensor gives it. MMD recomputes each tile where gamma times the bound is
+not below _KERNEL_TOL, so it stays within 4e-13 of the dense formula.
 
 The median is an exact selection, bit-identical to ``np.median`` of all
-pairwise distances. Above _GATHER_MAX pairs, the squared distances of 2^16
-random row pairs bracket the two middle ranks, and one Gram walk counts the
-pairs more than a tile's err below the bracket, passes over those more than
-err above it, and recomputes the rest by the dense per-pair formula, which
-is exact; those are counted or gathered, and the ranks are read off the
-gathered keys. The slab walk stays only where every distance must be exact
-as built: the whole-pool gather at or below _GATHER_MAX pairs, and the
-radix counting passes over the key bits that run when the bracket misses
-the ranks, overflows its array, or would hold more than _GATHER_MAX keys
-(ties), or when a tile's bound is not finite (rows too large to square);
-and MMD whose kernel the Gram bound cannot keep within _KERNEL_TOL.
+pairwise distances. Each Gram walk counts exactly the squared distances
+below and inside a window: a pair whose Gram value lies more than its
+tile's error bound outside the window is counted or passed over, and the
+rest are recomputed and kept, or sampled past _GATHER_MAX. The first window
+is read off the distances of 2^16 random pairs; one that holds both middle
+ranks in at most _GATHER_MAX keys answers in one walk, and any other is
+narrowed from its sample or moved by its exact counts.
 """
 
 from __future__ import annotations
@@ -159,15 +150,18 @@ def _hist_2d(idx_i: np.ndarray, idx_j: np.ndarray, bins: int) -> np.ndarray:
     return np.bincount(flat, minlength=bins * bins).reshape(bins, bins) / idx_i.size
 
 
-def tvd_1way(a, b, grid: BinGrid | None = None, bins: int = DEFAULT_BINS) -> float:
-    """Mean over columns of the total variation between binned marginals."""
+def _binned(a, b, grid: BinGrid | None, bins: int):
+    """Bin indices of both tables and the bin count, on ``grid`` or else on
+    one fitted on b with ``bins`` bins."""
     A, B = _matrix_pair(a, b)
     grid = grid or fit_grid(b, bins)
-    ia, ib = bin_indices(grid, A), bin_indices(grid, B)
-    vals = [
-        0.5 * np.abs(_hist_1d(ia[:, j], grid.bins) - _hist_1d(ib[:, j], grid.bins)).sum()
-        for j in range(A.shape[1])
-    ]
+    return bin_indices(grid, A), bin_indices(grid, B), grid.bins
+
+
+def tvd_1way(a, b, grid: BinGrid | None = None, bins: int = DEFAULT_BINS) -> float:
+    """Mean over columns of the total variation between binned marginals."""
+    ia, ib, bins = _binned(a, b, grid, bins)
+    vals = [0.5 * np.abs(_hist_1d(ia[:, j], bins) - _hist_1d(ib[:, j], bins)).sum() for j in range(ia.shape[1])]
     return float(np.mean(vals))
 
 
@@ -177,17 +171,15 @@ def tvd_2way(a, b, grid: BinGrid | None = None, bins: int = DEFAULT_BINS):
     Returns (mean, sum) over the C(d, 2) column pairs; the mean is the
     headline value.
     """
-    A, B = _matrix_pair(a, b)
-    d = A.shape[1]
+    ia, ib, bins = _binned(a, b, grid, bins)
+    d = ia.shape[1]
     if d < 2:
         raise UsageError("tvd_2way needs at least two columns")
-    grid = grid or fit_grid(b, bins)
-    ia, ib = bin_indices(grid, A), bin_indices(grid, B)
     vals = []
     for i in range(d):
         for j in range(i + 1, d):
-            pa = _hist_2d(ia[:, i], ia[:, j], grid.bins)
-            pb = _hist_2d(ib[:, i], ib[:, j], grid.bins)
+            pa = _hist_2d(ia[:, i], ia[:, j], bins)
+            pb = _hist_2d(ib[:, i], ib[:, j], bins)
             vals.append(0.5 * np.abs(pa - pb).sum())
     return float(np.mean(vals)), float(np.sum(vals))
 
@@ -195,13 +187,11 @@ def tvd_2way(a, b, grid: BinGrid | None = None, bins: int = DEFAULT_BINS):
 def js_divergence(a, b, grid: BinGrid | None = None, bins: int = DEFAULT_BINS) -> float:
     """Sum over columns of the Jensen-Shannon divergence between binned
     marginals, in nats (each column contributes at most ln 2)."""
-    A, B = _matrix_pair(a, b)
-    grid = grid or fit_grid(b, bins)
-    ia, ib = bin_indices(grid, A), bin_indices(grid, B)
+    ia, ib, bins = _binned(a, b, grid, bins)
     total = 0.0
-    for j in range(A.shape[1]):
-        p = _hist_1d(ia[:, j], grid.bins)
-        q = _hist_1d(ib[:, j], grid.bins)
+    for j in range(ia.shape[1]):
+        p = _hist_1d(ia[:, j], bins)
+        q = _hist_1d(ib[:, j], bins)
         m = 0.5 * (p + q)
         total += 0.5 * _kl(p, m) + 0.5 * _kl(q, m)
     return float(total)
@@ -215,100 +205,32 @@ def _kl(p: np.ndarray, m: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # MMD
 
-# The slab walk holds one (d, rows, cols) tile buffer per pass, of at most
-# _TILE_FLOATS float64 entries (1 MB), and tiles up to _TILE_COLS wide; at
-# d = 10 it builds a tile at about 29 ns per pair, and 4 MB, 1,024-column
-# buffers ran slower at d = 30. The Gram walk's square tiles are _GRAM_TILE
-# wide (512 KB) and cost about 3 ns per pair (one BLAS thread, 2-CPU host).
-_TILE_FLOATS = 1 << 17
-_TILE_COLS = 128
+# Gram tiles are _GRAM_TILE square (512 KB, about 3 ns a pair on one BLAS
+# thread); the per-pair formula takes _TILE_FLOATS differences (1 MB) at a time.
 _GRAM_TILE = 256
-# MMD walks the slab tiles instead of the Gram tiles when gamma times the
-# error bound of the widest Gram tile (twice the largest centred row norm)
-# is not below _KERNEL_TOL. On the Gram tiles each kernel value then moves
-# by less than _KERNEL_TOL (plus a few roundings), so MMD, two within-sample
-# kernel means plus twice a cross mean, moves by less than 4 * _KERNEL_TOL.
-# On the benchmark's 2,000 + 2,000 x 10 evaluate that product is about
-# 5e-14: a 1e-14 tolerance would send it to the slow walk.
+_TILE_FLOATS = 1 << 17
+# MMD recomputes a Gram tile pair by pair when gamma times its error bound
+# is not below _KERNEL_TOL; elsewhere each kernel value moves by less than
+# that (plus a few roundings), and MMD, two within-sample means plus twice a
+# cross mean, by less than 4 * _KERNEL_TOL. On the benchmark's 2,000 + 2,000
+# x 10 evaluate the widest tile's product is about 5e-14: 1e-14 would recompute it.
 _KERNEL_TOL = 1e-13
-# Exact selection resolves _DIGIT_BITS key bits per counting pass, and
-# gathers an order statistic's candidates once at most _GATHER_MAX remain.
-_DIGIT_BITS = 16
+# A selection walk keeps the keys inside its window, a sample past _GATHER_MAX.
 _GATHER_MAX = 1 << 20
-# Above _GATHER_MAX pairs, selection first brackets its ranks from the
-# squared distances of _SAMPLE_PAIRS random row pairs (fixed seed), at
-# _BRACKET_SDS binomial standard deviations either side. At 2,000 + 2,000
-# rows the bracket holds about 1/64 of the pairs.
+# Above _SAMPLE_PAIRS pairs, the first window is read off the squared
+# distances of _SAMPLE_PAIRS random row pairs (fixed seed). A window's ends
+# sit _BRACKET_SDS binomial standard deviations beyond the sample positions
+# of its ranks; at 2,000 + 2,000 rows the first holds about 1/64 of the pairs.
 _SAMPLE_PAIRS = 1 << 16
 _BRACKET_SDS = 4.0
 _UNIT_ROUNDOFF = 2.0**-53
 _SMALLEST_SUBNORMAL = 2.0**-1074
-_INF_KEY = np.float64(np.inf).view(np.uint64)
-
-
-def _sum_slabs(S: np.ndarray) -> np.ndarray:
-    """Sum S over its first axis in place and return S[0], the sum.
-
-    The slabs are added in the order numpy's ``add.reduce`` adds a
-    contiguous axis of length len(S), so the result is bit for bit
-    ``np.moveaxis(S, 0, -1).sum(axis=-1)``: in order below 8; up to 128,
-    eight running lanes, their tree ((0+1)+(2+3))+((4+5)+(6+7)), then the
-    tail in order; above 128, the two halves split at a multiple of 8."""
-    d = S.shape[0]
-    if d > 128:
-        half = d // 2 - (d // 2) % 8
-        return np.add(_sum_slabs(S[:half]), _sum_slabs(S[half:]), out=S[0])
-    if d < 8:
-        for i in range(1, d):
-            S[0] += S[i]
-        return S[0]
-    tail = d - d % 8
-    for i in range(8, tail, 8):
-        S[0:8] += S[i : i + 8]
-    S[0:8:2] += S[1:8:2]
-    S[0:8:4] += S[2:8:4]
-    S[0] += S[4]
-    for i in range(tail, d):
-        S[0] += S[i]
-    return S[0]
-
-
-def _sq_dist_tiles(X: np.ndarray, Y: np.ndarray, upper: bool = False):
-    """Yield the squared Euclidean distances between rows of X and rows of Y,
-    flat, one row block x column block tile at a time. Every entry is
-    ``((x - y) ** 2).sum()`` over the columns, bit for bit what the dense
-    ``(n, m, d)`` difference tensor gives: each tile is built column-major,
-    one (rows, cols) slab per column, and the slabs are summed in numpy's
-    own order (``_sum_slabs``). With ``upper`` (Y is X) only the pairs
-    j > i are yielded; only the first tile of each row block reaches the
-    diagonal, and only it is masked.
-
-    Unmasked tiles are views of one buffer that the next tile overwrites:
-    a consumer may change a tile in place, but must copy what it keeps."""
-    XT, YT = np.ascontiguousarray(X.T), np.ascontiguousarray(Y.T)
-    if XT.shape[0] == 0:  # no columns: every distance is the empty sum, 0.0
-        XT, YT = np.zeros((1, XT.shape[1])), np.zeros((1, YT.shape[1]))
-    d = XT.shape[0]
-    cols = max(1, min(_TILE_COLS, _TILE_FLOATS // d))
-    rows = max(1, min(cols, _TILE_FLOATS // (d * cols)))
-    above = np.triu(np.ones((rows, cols), dtype=bool), k=1)
-    buf = np.empty(d * rows * cols)
-    for i0 in range(0, XT.shape[1], rows):
-        i1 = min(i0 + rows, XT.shape[1])
-        for j0 in range(i0 if upper else 0, YT.shape[1], cols):
-            j1 = min(j0 + cols, YT.shape[1])
-            S = buf[: d * (i1 - i0) * (j1 - j0)].reshape(d, i1 - i0, j1 - j0)
-            np.subtract(XT[:, i0:i1, None], YT[:, None, j0:j1], out=S)
-            np.square(S, out=S)
-            sq = _sum_slabs(S)
-            yield sq[above[: i1 - i0, : j1 - j0]] if upper and j0 == i0 else sq.ravel()
 
 
 def _gram_err(d: int, a, b) -> float:
     """Bound on |G - the dense formula's value| for a Gram distance between
-    two rows of centred norms at most a and b, over d columns
-    (``_gram_tiles``). Infinite when a + b is 2^500 or more, or NaN: only
-    below that is every G finite."""
+    rows of centred norms at most a and b over d columns (``_gram_tiles``);
+    infinite when a + b is 2^500 or more, or NaN, below which G is finite."""
     r = float(a + b)
     if not r < 2.0**500:
         return math.inf
@@ -361,20 +283,24 @@ def _gram_tiles(X: np.ndarray, Y: np.ndarray, upper: bool = False, *, centre: np
             yield i0, j0, G, _gram_err(d, a, yn[j0:j1].max()), mask
 
 
-def _pair_sq_dists(X: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Squared distances of the row pairs (i[k], j[k]) of X by the dense
-    per-pair formula ``((X[i] - X[j]) ** 2).sum(axis=1)``, bit for bit what
-    the slab tiles and the dense tensor give."""
-    diff = X[i]
-    diff -= X[j]
-    np.square(diff, out=diff)
-    return diff.sum(axis=1)
+def _pair_sq_dists(X: np.ndarray, Y: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Squared distances between the rows X[i[k]] and Y[j[k]] by the dense
+    per-pair formula ``((X[i] - Y[j]) ** 2).sum(axis=1)``, bit for bit what
+    the dense (n, m, d) difference tensor gives, in blocks of at most
+    _TILE_FLOATS differences."""
+    out = np.empty(i.size)
+    step = max(1, _TILE_FLOATS // max(X.shape[1], 1))
+    for s in range(0, i.size, step):
+        diff = X[i[s : s + step]]
+        diff -= Y[j[s : s + step]]
+        np.square(diff, out=diff)
+        diff.sum(axis=1, out=out[s : s + step])
+    return out
 
 
 def _sampled_sq_dists(X: np.ndarray, size: int) -> np.ndarray:
     """Squared distances of ``size`` row pairs i != j of X, drawn uniformly
-    at random with a fixed seed, computed in blocks of at most _TILE_FLOATS
-    floats."""
+    at random with a fixed seed, in blocks of at most _TILE_FLOATS floats."""
     n, d = X.shape
     rng = np.random.default_rng(0)
     out = np.empty(size)
@@ -384,143 +310,145 @@ def _sampled_sq_dists(X: np.ndarray, size: int) -> np.ndarray:
         i = rng.integers(0, n, m)
         j = rng.integers(0, n - 1, m)
         j += j >= i
-        out[s0 : s0 + m] = _pair_sq_dists(X, i, j)
+        out[s0 : s0 + m] = _pair_sq_dists(X, X, i, j)
     return out
 
 
-def _bracket(X: np.ndarray, ranks, pairs: int):
-    """(lo, hi, capacity): keys that bracket every rank among the ``pairs``
-    squared distances of X with high probability, and the number of keys in
-    [lo, hi] to make room for, both read off a sorted random sample.
-
-    The number of sample keys below the rank-r distance is binomial with
-    p = r / pairs, so lo and hi sit _BRACKET_SDS standard deviations beyond
-    the sample positions of the lowest and highest rank. The share of
-    distances inside is the sample's share, plus the same margin."""
-    keys = _sampled_sq_dists(X, _SAMPLE_PAIRS).view(np.uint64)
-    keys.sort()
-    s = keys.size
+def _window(sample: np.ndarray, ranks, count: int, lo: float, hi: float):
+    """A window within [lo, hi] likely to hold the keys at the given ranks
+    among the ``count`` keys in [lo, hi], read off ``sample``, a sorted
+    uniform sample of those keys. The sample keys below the rank-r key are
+    about binomial with p = r / count, so the ends sit _BRACKET_SDS standard
+    deviations beyond the sample positions of the lowest and the highest
+    rank; an end that falls off the sample stays at lo or hi."""
+    s = sample.size
 
     def position(rank: int, side: int) -> float:
-        p = rank / pairs
+        p = rank / count
         return s * p + side * _BRACKET_SDS * math.sqrt(s * p * (1.0 - p))
 
     a, b = math.floor(position(min(ranks), -1)), math.ceil(position(max(ranks) + 1, 1))
-    lo = keys[a] if a >= 0 else np.uint64(0)
-    hi = keys[b] if b < s else np.uint64((1 << 64) - 1)
-    share = (np.searchsorted(keys, hi, side="right") - np.searchsorted(keys, lo)) / s
-    capacity = math.ceil(pairs * (share + _BRACKET_SDS * math.sqrt(share * (1.0 - share) / s)))
-    return lo, hi, capacity
+    return (float(sample[a]) if 0 <= a < s else lo), (float(sample[b]) if b < s else hi)
 
 
-def _bracket_select(X: np.ndarray, ranks, pairs: int):
-    """Values at ``ranks`` among the squared distances of X's row pairs from
-    one Gram walk, or None when the bracket would hold more than _GATHER_MAX
-    keys, overflows its array, or misses a rank, or when a tile's error
-    bound is not finite (its Gram values could be too).
+def _bracket(X: np.ndarray, ranks, pairs: int):
+    """The selection's first window: the whole key range at or below
+    _SAMPLE_PAIRS pairs, else one read off the sorted squared distances of
+    _SAMPLE_PAIRS random row pairs."""
+    if pairs <= _SAMPLE_PAIRS:
+        return 0.0, math.inf
+    return _window(np.sort(_sampled_sq_dists(X, _SAMPLE_PAIRS)), ranks, pairs, 0.0, math.inf)
 
-    A pair whose Gram value lies more than the tile's err below the bracket
-    is counted below it, and one more than err above it is passed over; only
-    the pairs in between are recomputed by the dense per-pair formula, and
-    those exact values are counted or gathered as keys."""
-    lo, hi, capacity = _bracket(X, ranks, pairs)
-    if capacity > _GATHER_MAX:
-        return None
-    lo_f = float(lo.view(np.float64))
-    hi_f = float(hi.view(np.float64)) if hi < _INF_KEY else math.inf
-    step = max(1, _TILE_FLOATS // max(X.shape[1], 1))
-    kept = np.empty(capacity, dtype=np.uint64)
-    below = filled = 0
-    for i0, j0, G, err, mask in _gram_tiles(X, X, upper=True, centre=X.mean(axis=0)):
-        if not math.isfinite(err):
-            return None
+
+def _walk(X: np.ndarray, lo: float, hi: float, centre: np.ndarray, rng):
+    """One Gram walk over the row pairs i < j of X for the window [lo, hi]
+    of squared distances: the exact numbers of distances below and inside
+    it, the exact least and most inside, and the distances inside (all up to
+    _GATHER_MAX, past that a Bernoulli sample, thinned by half whenever it
+    outgrows _GATHER_MAX). A pair whose Gram value lies more than its tile's
+    err below lo is counted below, one more than err above hi is passed
+    over, and the rest, every pair of a tile whose G is NaN or err infinite
+    included, are recomputed by the dense per-pair formula."""
+    below = count = 0
+    least, most = math.inf, -math.inf
+    kept, size, rate = np.empty(_GRAM_TILE * _GRAM_TILE), 0, 1.0
+    for i0, j0, G, err, mask in _gram_tiles(X, X, upper=True, centre=centre):
+        # thresholds rounded outwards, so that G < lo - err implies a
+        # distance below lo, and G > hi + err one above hi; NaN fails both
+        under = G < np.nextafter(lo - err, -math.inf)
+        near = ~(under | (G > np.nextafter(hi + err, math.inf)))
         if mask is not None:
-            G[~mask] = np.nan  # fails every comparison: neither below nor near
-        # thresholds rounded outwards, so that G < low_t implies a distance
-        # below lo, and G > high_t one above hi
-        low_t = np.nextafter(lo_f - err, -math.inf)
-        high_t = np.nextafter(hi_f + err, math.inf)
-        below += np.count_nonzero(G < low_t)
-        near = G >= low_t
-        near &= G <= high_t
+            under &= mask
+            near &= mask
+        below += np.count_nonzero(under)
         i, j = np.divmod(np.flatnonzero(near), G.shape[1])
-        for s in range(0, i.size, step):
-            keys = _pair_sq_dists(X, i[s : s + step] + i0, j[s : s + step] + j0).view(np.uint64)
-            below += np.count_nonzero(keys < lo)
-            sel = keys[(keys >= lo) & (keys <= hi)]
-            if filled + sel.size > capacity:
-                return None
-            kept[filled : filled + sel.size] = sel
-            filled += sel.size
-    if below > min(ranks) or max(ranks) >= below + filled:
-        return None
-    inside = kept[:filled]
-    inside.partition(sorted({r - below for r in ranks}))
-    return [float(inside.view(np.float64)[r - below]) for r in ranks]
+        keys = _pair_sq_dists(X, X, i + i0, j + j0)
+        below += np.count_nonzero(keys < lo)
+        keys = keys[(keys >= lo) & (keys <= hi)]
+        if keys.size == 0:
+            continue
+        count += keys.size
+        least, most = min(least, keys.min()), max(most, keys.max())
+        if rate < 1.0:
+            keys = keys[rng.random(keys.size) < rate]
+        # kept grows and is thinned in place, so no key is ever held twice
+        if size + keys.size > kept.size:
+            kept.resize(max(size + keys.size, min(2 * kept.size, _GATHER_MAX + G.size)), refcheck=False)
+        kept[size : size + keys.size] = keys
+        size += keys.size
+        while size > _GATHER_MAX:
+            end, size, rate = size, 0, rate / 2
+            for s in range(0, end, G.size):
+                part = kept[s : min(s + G.size, end)]
+                part = part[rng.random(part.size) < 0.5]
+                kept[size : size + part.size] = part
+                size += part.size
+    kept.resize(size, refcheck=False)
+    return below, count, float(least), float(most), kept
 
 
 def _pair_order_statistics(X: np.ndarray, ranks) -> list:
     """Exact values at the given 0-based ranks among the squared distances of
     all row pairs i < j of X, in memory bounded by the tile and gather sizes.
 
-    A non-negative float64 sorts like its uint64 bit pattern, its key. Above
-    _GATHER_MAX pairs, one Gram walk first gathers the keys inside a sampled
-    bracket (``_bracket_select``); when the bracket holds every rank, that
-    is the answer. Otherwise, and always at or below _GATHER_MAX pairs, the
-    radix passes run over exact slab tiles: each rank is narrowed to a
-    group, the keys that share a known top-bit prefix. A counting pass
-    histograms the next _DIGIT_BITS bits of the group's keys and keeps the
-    bucket that holds the rank. A group whose keys are all equal, or whose
-    prefix is all 64 bits, is the value itself, so ties never grow the
-    gathered set. A group of at most _GATHER_MAX keys (the whole pool, when
-    it is that small) is copied into one array of the group's size in one
-    more pass, and the rank is read off with ``np.partition``."""
+    Each rank's value lies in its hull, at first all keys. Each walk
+    (``_walk``; the first window is ``_bracket``'s) places every rank below,
+    inside or above its window by exact counts. A rank inside is read off at
+    either end of the window, in a window of one key value, or in one kept
+    whole (``np.partition``); else its hull becomes [least, most] and the
+    next window is read off the sample (``_window``), or, where that leaves
+    out no key of the hull, the hull is split at the sample key nearest the
+    rank. A rank outside keeps the part of its hull on its side, walked
+    whole next. The rows are finite, so every rank has a key, and a hull
+    loses a key at least every second walk: the loop ends."""
     n = X.shape[0]
-    pairs = n * (n - 1) // 2
-    if pairs > _GATHER_MAX:
-        found = _bracket_select(X, ranks, pairs)
-        if found is not None:
-            return found
-    # rank -> (prefix, fixed bits, rank within the group, group size)
-    todo = {k: (0, 0, k, pairs) for k in ranks}
-    found = {}
-    while todo:
-        groups = {(p, f): size for p, f, _, size in todo.values()}
-        gathered = {g: np.empty(size, dtype=np.uint64) for g, size in groups.items() if size <= _GATHER_MAX}
-        filled = dict.fromkeys(gathered, 0)
-        counts = {g: np.zeros(1 << _DIGIT_BITS, dtype=np.int64) for g in groups if g not in gathered}
-        spans = {g: [(1 << 64) - 1, 0] for g in counts}
-        for sq in _sq_dist_tiles(X, X, upper=True):
-            keys = sq.view(np.uint64)
-            for prefix, fixed in groups:
-                sel = keys[keys >> (64 - fixed) == prefix] if fixed else keys
-                if (prefix, fixed) in gathered:
-                    at = filled[prefix, fixed]
-                    gathered[prefix, fixed][at : at + sel.size] = sel
-                    filled[prefix, fixed] = at + sel.size
-                elif sel.size:
-                    digit = (sel >> (64 - fixed - _DIGIT_BITS)) & ((1 << _DIGIT_BITS) - 1)
-                    counts[prefix, fixed] += np.bincount(digit.astype(np.intp), minlength=1 << _DIGIT_BITS)
-                    span = spans[prefix, fixed]
-                    span[:] = min(span[0], sel.min()), max(span[1], sel.max())
-        for k, (prefix, fixed, r, _) in list(todo.items()):
-            g = (prefix, fixed)
-            del todo[k]
-            if g in gathered:
-                gathered[g].partition(r)
-                found[k] = gathered[g][r]
-            elif spans[g][0] == spans[g][1]:
-                found[k] = spans[g][0]
+    centre = X.mean(axis=0)
+    rng = np.random.default_rng(0)
+    hull, found = dict.fromkeys(ranks, (0.0, math.inf)), {}
+    lo, hi = _bracket(X, ranks, n * (n - 1) // 2)
+    while True:
+        kept = None  # the last walk's keys are not held through the next
+        below, count, least, most, kept = _walk(X, lo, hi, centre, rng)
+        inside = {}
+        for r, (a, b) in list(hull.items()):
+            k = r - below
+            if k < 0:
+                hull[r] = (a, min(b, float(np.nextafter(lo, -math.inf))))
+            elif k >= count:
+                hull[r] = (max(a, float(np.nextafter(hi, math.inf))), b)
             else:
-                cum = np.cumsum(counts[g])
-                b = int(np.searchsorted(cum, r, side="right"))
-                r -= int(cum[b - 1]) if b else 0
-                prefix, fixed = (prefix << _DIGIT_BITS) | b, fixed + _DIGIT_BITS
-                if fixed == 64:
-                    found[k] = prefix
+                del hull[r]
+                if k == 0 or least == most:
+                    found[r] = least
+                elif k == count - 1:
+                    found[r] = most
                 else:
-                    todo[k] = (prefix, fixed, r, int(counts[g][b]))
-    return [float(np.array(found[k], dtype=np.uint64).view(np.float64)) for k in ranks]
+                    inside[r] = k
+        if inside and kept.size == count:  # kept whole
+            kept.partition(list(inside.values()))
+            found.update((r, float(kept[k])) for r, k in inside.items())
+        elif inside:
+            hull.update(dict.fromkeys(inside, (least, most)))
+            kept.sort()
+            lo, hi = _window(kept, inside.values(), count, least, most)
+            if lo <= least and hi >= most:
+                at = min(kept.size - 1, round(kept.size * min(inside.values()) / count))
+                split = float(kept[at]) if kept.size else least
+                lo, hi = least, min(split, float(np.nextafter(most, -math.inf)))
+            continue
+        if not hull:
+            return [found[r] for r in ranks]
+        lo, hi = hull[min(hull)]
+
+
+def _pooled(a, b):
+    """Both tables and their stacked rows, which must be finite: a NaN
+    distance has no rank."""
+    A, B = _matrix_pair(a, b)
+    pool = np.vstack([A, B])
+    if not np.isfinite(pool).all():
+        raise MetricError("the pairwise metrics need finite rows")
+    return A, B, pool
 
 
 def median_bandwidth(a, b) -> float:
@@ -529,11 +457,9 @@ def median_bandwidth(a, b) -> float:
     Exact, and bit-identical to ``np.median`` over all N(N-1)/2 distances,
     without holding them: the two middle squared distances are selected
     tile by tile (``_pair_order_statistics``), in one walk over the pairs
-    when a sampled bracket holds both ranks and with radix counting passes
-    when it does not, and the result is the mean of their square roots,
-    ``np.median``'s rule (sqrt is monotone)."""
-    A, B = _matrix_pair(a, b)
-    pool = np.vstack([A, B])
+    when the first window holds both ranks, and the result is the mean of
+    their square roots, ``np.median``'s rule (sqrt is monotone)."""
+    _, _, pool = _pooled(a, b)
     pairs = pool.shape[0] * (pool.shape[0] - 1) // 2
     lo, hi = _pair_order_statistics(pool, ((pairs - 1) // 2, pairs // 2))
     h = (math.sqrt(lo) + math.sqrt(hi)) / 2.0
@@ -545,37 +471,31 @@ def median_bandwidth(a, b) -> float:
 def mmd(a, b, bandwidth: float | None = None) -> float:
     """Unbiased squared maximum mean discrepancy (Gretton et al., JMLR 2012)
     with a Gaussian kernel exp(-|x - y|^2 / (2 h^2)); h defaults to the
-    median heuristic on the pooled sample. The estimate is clamped at zero.
+    median heuristic on the pooled sample and must be positive and finite.
+    The estimate is clamped at zero.
 
-    Each Gram block is summed tile by tile (numpy sums within a tile, tiles
-    added in row-major order); the within-sample blocks sum the pairs j > i
-    and double them, which leaves out the unit diagonal. The tiles come from
-    ``_gram_tiles``, all centred at the pooled mean, unless gamma times the
-    error bound of the widest of them is not below _KERNEL_TOL: then every
-    tile comes from the exact ``_sq_dist_tiles``. Either way the result stays
+    Each Gram block is summed over ``_gram_tiles`` centred at the pooled
+    mean (numpy sums a tile, tiles add in row-major order; within a sample
+    the pairs j > i, doubled); a tile where gamma times its error bound is
+    not below _KERNEL_TOL is recomputed pair by pair, which keeps the result
     within 4 * _KERNEL_TOL of the dense formula's."""
-    A, B = _matrix_pair(a, b)
+    A, B, pool = _pooled(a, b)
     n, m = A.shape[0], B.shape[0]
     if n < 2 or m < 2:
         raise UsageError("unbiased MMD needs at least two rows per sample")
     h = median_bandwidth(A, B) if bandwidth is None else float(bandwidth)
-    if h <= 0:
-        raise MetricError(f"bandwidth must be positive, got {h}")
+    if not 0.0 < h < math.inf:
+        raise MetricError(f"bandwidth must be positive and finite, got {h}")
     gamma = 1.0 / (2.0 * h * h)
-    pool = np.vstack([A, B])
     centre = pool.mean(axis=0)
-    pool -= centre
-    r = math.sqrt(np.einsum("ij,ij->i", pool, pool).max())
-    exact = not gamma * _gram_err(max(A.shape[1], 1), r, r) < _KERNEL_TOL
-
-    def tiles(X, Y, upper):
-        if exact:
-            return _sq_dist_tiles(X, Y, upper)
-        return (G if mask is None else G[mask] for _, _, G, _, mask in _gram_tiles(X, Y, upper, centre=centre))
 
     def gram_sum(X, Y, upper=False):
         total = 0.0
-        for sq in tiles(X, Y, upper):
+        for i0, j0, G, err, mask in _gram_tiles(X, Y, upper, centre=centre):
+            if not gamma * err < _KERNEL_TOL:
+                i, j = np.indices(G.shape).reshape(2, -1)
+                G = _pair_sq_dists(X, Y, i + i0, j + j0).reshape(G.shape)
+            sq = G if mask is None else G[mask]
             np.multiply(sq, -gamma, out=sq)
             total += float(np.exp(sq, out=sq).sum())
         return total

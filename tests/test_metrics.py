@@ -123,8 +123,12 @@ def test_mmd_errors():
         metrics.median_bandwidth(A, A)  # all pairwise distances zero
     with pytest.raises(UsageError):
         metrics.mmd(A[:1], A, bandwidth=1.0)
-    with pytest.raises(MetricError):
-        metrics.mmd(np.arange(4.0).reshape(4, 1), np.arange(4.0).reshape(4, 1), bandwidth=0.0)
+    X = np.arange(4.0).reshape(4, 1)
+    for bad in (0.0, math.nan, math.inf):  # NaN must raise, not score a perfect 0.0
+        with pytest.raises(MetricError):
+            metrics.mmd(X, X, bandwidth=bad)
+    with pytest.raises(MetricError):  # not a NaN bandwidth in the report's meta
+        metrics.metric_report(Table(("a",), X), Table(("a",), X), bandwidth=math.nan)
 
 
 def test_all_metrics_match_naive_oracles():
@@ -156,14 +160,14 @@ def test_all_metrics_match_naive_oracles():
 
 
 # The pairwise metrics work tile by tile; the dense formulas they replaced
-# are the oracles. Small tiles and a small _GATHER_MAX force column tiling
-# and the counting passes of the exact selection (and, with ties, its
-# refinement) at test sizes.
+# are the oracles. Small tiles and a small _GATHER_MAX force partial tiles
+# and sampled windows (and, with ties, their narrowing) at test sizes.
+_GATHER_MAXES = [None, 1, 100, 500, 1 << 14]
 
 
-def _diagonal_tiles(A, B):
+def _pool_tiles(A, B):
     pool = np.vstack([A, B])
-    return sum(1 for _ in metrics._sq_dist_tiles(pool, pool, upper=True))
+    return list(metrics._gram_tiles(pool, pool, upper=True, centre=pool.mean(axis=0)))
 
 
 @pytest.mark.parametrize("small", [False, True], ids=["default", "small"])
@@ -171,47 +175,68 @@ def _diagonal_tiles(A, B):
 @pytest.mark.parametrize("n_a", [700, 702])
 def test_tiled_median_and_mmd_match_dense_formulas(n_a, d, small, monkeypatch):
     if small:
-        monkeypatch.setattr(metrics, "_TILE_COLS", 100)
+        monkeypatch.setattr(metrics, "_GRAM_TILE", 100)
         monkeypatch.setattr(metrics, "_GATHER_MAX", 500)
     rng = np.random.default_rng(100 + d)
     A = rng.standard_normal((n_a, d))
     B = 1.5 * rng.standard_normal((300, d)) + 0.2
     pairs = (n_a + 300) * (n_a + 299) // 2
     assert pairs % 2 == (n_a == 702)  # both parities of the pair count
-    assert _diagonal_tiles(A, B) >= 2
+    assert len(_pool_tiles(A, B)) >= 2
     h = metrics.median_bandwidth(A, B)
     assert h == nm.dense_median_bandwidth(A, B)
     assert abs(metrics.mmd(A, B, h) - nm.dense_mmd(A, B, h)) <= 1e-12
     assert abs(metrics.mmd(A, B) - nm.dense_mmd(A, B, h)) <= 1e-12
 
 
-# Tiles are built one column slab at a time and summed by _sum_slabs in
-# numpy's add.reduce order; if a numpy release changes that order, these fail.
+# _pair_sq_dists sums slabs of at most _TILE_FLOATS pair differences along
+# their rows and must give the dense (n, m, d) tensor's sums bit for bit; if
+# a numpy release sums the two in different orders, these fail. A slab of
+# two pairs here splits the 15 pairs over eight slabs.
 
 
 @pytest.mark.parametrize("d", [*range(1, 41), 127, 128, 129, 130, 200, 257])
-def test_slab_sum_is_numpys_row_major_sum(d):
+def test_slab_sum_is_numpys_row_major_sum(d, monkeypatch):
+    monkeypatch.setattr(metrics, "_TILE_FLOATS", 2 * d)
     rng = np.random.default_rng(d)
     # magnitudes spread over 16 decades make every summation order show
-    S = rng.random((d, 3, 5)) * 10.0 ** rng.uniform(-8, 8, (d, 1, 1))
-    want = np.ascontiguousarray(np.moveaxis(S, 0, -1)).sum(axis=-1)
-    got = metrics._sum_slabs(S.copy())
-    assert got.dtype == want.dtype and np.array_equal(got, want)
+    X = rng.random((3, d)) * 10.0 ** rng.uniform(-8, 8, d)
+    Y = rng.random((5, d)) * 10.0 ** rng.uniform(-8, 8, d)
+    want = ((X[:, None, :] - Y[None, :, :]) ** 2).sum(axis=2)
+    i, j = np.indices(want.shape).reshape(2, -1)
+    got = metrics._pair_sq_dists(X, Y, i, j)
+    assert got.dtype == want.dtype and np.array_equal(got, want.ravel())
 
 
 @pytest.mark.parametrize("small", [False, True], ids=["default", "small"])
 @pytest.mark.parametrize("d", [8, 9, 30])
 def test_tiled_metrics_match_dense_at_block_widths(d, small, monkeypatch):
     if small:
-        monkeypatch.setattr(metrics, "_TILE_COLS", 100)
+        monkeypatch.setattr(metrics, "_GRAM_TILE", 100)
         monkeypatch.setattr(metrics, "_GATHER_MAX", 500)
     rng = np.random.default_rng(200 + d)
     A = rng.standard_normal((400, d)) * rng.uniform(0.01, 100, d)
     B = 1.5 * rng.standard_normal((300, d)) + 0.2
-    assert _diagonal_tiles(A, B) >= 2
+    assert len(_pool_tiles(A, B)) >= 2
     h = metrics.median_bandwidth(A, B)
     assert h == nm.dense_median_bandwidth(A, B)
     assert abs(metrics.mmd(A, B, h) - nm.dense_mmd(A, B, h)) <= 1e-12
+
+
+def test_pairwise_metrics_refuse_non_finite_rows():
+    # a NaN distance ranks nowhere: with 200 of 500 pooled rows NaN, 64% of
+    # the pairs are, the middle ranks lie above every comparable key, and a
+    # selection that started would never end
+    rng = np.random.default_rng(25)
+    A, B = rng.standard_normal((300, 4)), rng.standard_normal((200, 4))
+    A[:200, 1] = math.nan
+    B[:10, 2] = math.inf
+    for a, b in ((A, B[10:]), (A[200:], B)):
+        for call in (metrics.median_bandwidth, lambda a, b: metrics.mmd(a, b, 1.0)):
+            with pytest.raises(MetricError):
+                call(a, b)
+    with pytest.raises(MetricError), np.errstate(invalid="ignore"):  # binned first
+        metrics.metric_report(Table(tuple("abcd"), A), Table(tuple("abcd"), B[10:]))
 
 
 def test_zero_columns_give_zero_distances():
@@ -230,19 +255,23 @@ def _duplicate_rows(rng):
     return rows[rng.integers(0, 6, 400)], rows[rng.integers(0, 4, 300)] + [0.0, 0.0, 1e-9]
 
 
-@pytest.mark.parametrize("gather_max", [None, 1, 100])
+def _gaussian(rng):
+    return rng.standard_normal((350, 6)), rng.standard_normal((251, 6)) + 0.3
+
+
+@pytest.mark.parametrize("gather_max", _GATHER_MAXES)
 @pytest.mark.parametrize("make", [_binary, _duplicate_rows], ids=["binary", "duplicate_rows"])
 def test_tiled_median_is_exact_on_ties(make, gather_max, monkeypatch):
     if gather_max is not None:
         monkeypatch.setattr(metrics, "_GATHER_MAX", gather_max)
     A, B = make(np.random.default_rng(21))
-    assert _diagonal_tiles(A, B) >= 1
+    assert len(_pool_tiles(A, B)) >= 1
     h = metrics.median_bandwidth(A, B)
     assert h == nm.dense_median_bandwidth(A, B)
     assert abs(metrics.mmd(A, B, h) - nm.dense_mmd(A, B, h)) <= 1e-12
 
 
-@pytest.mark.parametrize("gather_max", [None, 1, 100])
+@pytest.mark.parametrize("gather_max", _GATHER_MAXES)
 def test_tiled_median_of_zero_still_raises(gather_max, monkeypatch):
     if gather_max is not None:
         monkeypatch.setattr(metrics, "_GATHER_MAX", gather_max)
@@ -252,6 +281,16 @@ def test_tiled_median_of_zero_still_raises(gather_max, monkeypatch):
     assert nm.dense_median_bandwidth(A, B) == 0.0
     with pytest.raises(MetricError):
         metrics.median_bandwidth(A, B)
+
+
+@pytest.mark.parametrize("make", [_binary, _duplicate_rows, _gaussian], ids=["binary", "duplicate_rows", "gaussian"])
+def test_one_key_samples_still_narrow(make, monkeypatch):
+    # a one-key sample cannot narrow a window by its spread: each window
+    # must still leave out a key of the last one
+    monkeypatch.setattr(metrics, "_GATHER_MAX", 1)
+    monkeypatch.setattr(metrics, "_SAMPLE_PAIRS", 1)
+    A, B = make(np.random.default_rng(24))
+    assert metrics.median_bandwidth(A, B) == nm.dense_median_bandwidth(A, B)
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "binary"])
@@ -270,26 +309,38 @@ def test_pairwise_metrics_run_in_bounded_memory(kind):
     assert peak < 32e6
 
 
-# Above _GATHER_MAX pairs the median first gathers a sampled bracket in one
-# walk and falls back to the counting passes when it misses or overflows.
-# A lowered _GATHER_MAX puts 600-row pools (about 180,000 pairs, a bracket of
-# about 3,000 keys) on that path.
+# Above _SAMPLE_PAIRS pairs the first window is read off a random sample of
+# pairs, and one walk answers when it holds both middle ranks with at most
+# _GATHER_MAX keys. A lowered _GATHER_MAX of 2^14 still keeps the first
+# window of a 600-row pool (about 180,000 pairs, a window of about 3,000
+# keys) whole.
 _BRACKET_GATHER_MAX = 1 << 14
 
 
-def _count_walks(monkeypatch, names=("_sq_dist_tiles", "_gram_tiles")) -> list:
-    """Record ``upper`` for every pairwise walk by the named tile walkers;
-    by default both, the exact slab walk and the Gram walk."""
+def _count_walks(monkeypatch) -> list:
+    """Record ``upper`` for every pairwise walk over Gram tiles."""
     walks = []
-    for name in names:
-        tiles = getattr(metrics, name)
+    tiles = metrics._gram_tiles
 
-        def counted(X, Y, upper=False, tiles=tiles, **kw):
-            walks.append(upper)
-            return tiles(X, Y, upper, **kw)
+    def counted(X, Y, upper=False, **kw):
+        walks.append(upper)
+        return tiles(X, Y, upper, **kw)
 
-        monkeypatch.setattr(metrics, name, counted)
+    monkeypatch.setattr(metrics, "_gram_tiles", counted)
     return walks
+
+
+def _count_recomputed(monkeypatch) -> list:
+    """Record the number of pairs in every call of the per-pair formula."""
+    sizes = []
+    pair_sq_dists = metrics._pair_sq_dists
+
+    def counted(X, Y, i, j):
+        sizes.append(i.size)
+        return pair_sq_dists(X, Y, i, j)
+
+    monkeypatch.setattr(metrics, "_pair_sq_dists", counted)
+    return sizes
 
 
 def _bracket_returning(monkeypatch, change):
@@ -312,11 +363,11 @@ def test_bracket_median_matches_dense_formula_in_one_walk(n_a, d, monkeypatch):
 
 
 def _empty_bracket(mp):
-    _bracket_returning(mp, lambda lo, hi, cap: (lo, lo, cap))
+    _bracket_returning(mp, lambda lo, hi: (lo, lo))
 
 
 def _bracket_above_the_ranks(mp):
-    _bracket_returning(mp, lambda lo, hi, cap: (hi + np.uint64(1), hi + np.uint64(2), cap))
+    _bracket_returning(mp, lambda lo, hi: (np.nextafter(hi, np.inf), np.nextafter(hi, np.inf) * 2.0))
 
 
 def _shifted_sample(mp):
@@ -332,7 +383,9 @@ def test_bracket_miss_falls_back_to_counting_passes(miss, monkeypatch):
     rng = np.random.default_rng(31)
     A, B = rng.standard_normal((350, 6)), rng.standard_normal((250, 6)) + 0.3
     assert metrics.median_bandwidth(A, B) == nm.dense_median_bandwidth(A, B)
-    assert len(walks) == 3  # the bracket, a counting pass, a gather
+    # the missed window, the side of it that holds the ranks (more than
+    # _GATHER_MAX keys, so sampled), and a window read off that sample
+    assert len(walks) == 3
 
 
 @pytest.mark.parametrize("overflow", [False, True], ids=["fits", "overflows"])
@@ -340,12 +393,22 @@ def test_bracket_miss_falls_back_to_counting_passes(miss, monkeypatch):
 def test_bracket_median_is_exact_on_ties(make, overflow, monkeypatch):
     A, B = make(np.random.default_rng(21))
     pairs = 700 * 699 // 2
-    monkeypatch.setattr(metrics, "_GATHER_MAX", pairs - 1)
-    if overflow:
-        _bracket_returning(monkeypatch, lambda lo, hi, cap: (lo, hi, cap // 2))
+    gather_max = 100 if overflow else pairs - 1
+    monkeypatch.setattr(metrics, "_GATHER_MAX", gather_max)
     walks = _count_walks(monkeypatch)
+    counts, walk = [], metrics._walk
+
+    def counted_walk(*args):
+        result = walk(*args)
+        counts.append(result[1])
+        return result
+
+    monkeypatch.setattr(metrics, "_walk", counted_walk)
     assert metrics.median_bandwidth(A, B) == nm.dense_median_bandwidth(A, B)
-    assert len(walks) == (3 if overflow else 1)  # the bracket, a counting pass, a gather
+    # the first window holds both middle ranks; kept whole, or, past
+    # _GATHER_MAX keys, as a sample of one tied key value, it answers
+    assert len(walks) == 1
+    assert (counts[0] > gather_max) == overflow
 
 
 def test_median_takes_one_walk_above_and_at_most_gather_max():
@@ -369,14 +432,14 @@ def test_bracket_median_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the two counting passes that ran here before the bracket peaked at 5.1 MB
+    # the first window's keys (about 125,000, 1 MB) and one tile; all 8M keys would take 64 MB
     assert peak < 4.0e6
 
 
-# Gram tiles (|x|^2 + |y|^2 - 2 x.y) lose digits to cancellation. The bracket
-# walk recomputes every pair within a tile's error bound of the bracket, and
-# MMD walks exact slab tiles when the widest Gram tile's bound is too wide
-# for 1e-12. These inputs make the cancellation as bad as it gets.
+# Gram tiles (|x|^2 + |y|^2 - 2 x.y) lose digits to cancellation. The median's
+# walks recompute every pair within a tile's error bound of the window, and
+# MMD recomputes every tile whose bound is too wide for 1e-12. These inputs
+# make the cancellation as bad as it gets.
 
 
 def _offset_rows(rng):
@@ -422,48 +485,57 @@ def _too_large_to_square(rng):
     return A, rng.standard_normal((300, 5))
 
 
+def _all_rows_too_large(rng):
+    # every row at least 2^499 from the pooled mean, so every tile's error
+    # bound is infinite and every pair is recomputed; the distances across
+    # the two samples overflow, those within them are finite, and the
+    # median falls among the latter (about 99,700 of 179,700 pairs)
+    A = 2.0**500 + 2.0**480 * rng.standard_normal((400, 3))
+    return A, -(2.0**500) + 2.0**480 * rng.standard_normal((200, 3))
+
+
 @pytest.mark.parametrize(
-    "make, walks",
-    [
-        (_offset_rows, 1),
-        (_tight_cluster, 1),
-        (_split_cluster, 1),
-        (_column_scales, 1),
-        (_near_duplicates, 1),
-        (_too_large_to_square, 3),
-    ],
-    ids=["offset_1e6", "tight_cluster", "split_cluster", "column_scales", "near_duplicates", "offset_2e154"],
+    "make",
+    [_offset_rows, _tight_cluster, _split_cluster, _column_scales, _near_duplicates, _too_large_to_square, _all_rows_too_large],
+    ids=["offset_1e6", "tight_cluster", "split_cluster", "column_scales", "near_duplicates", "offset_2e154", "all_rows_2e500"],
 )
-def test_gram_bracket_and_mmd_are_exact_on_adversarial_inputs(make, walks, monkeypatch):
+def test_gram_bracket_and_mmd_are_exact_on_adversarial_inputs(make, monkeypatch):
     A, B = make(np.random.default_rng(41))
     rows = A.shape[0] + B.shape[0]
+    # the first window is read off a sample even of the 60-row clusters
     monkeypatch.setattr(metrics, "_GATHER_MAX", rows * (rows - 1) // 2 - 1)
+    monkeypatch.setattr(metrics, "_SAMPLE_PAIRS", rows * (rows - 1) // 2 - 1)
     with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
+        if make is _all_rows_too_large:
+            assert all(math.isinf(err) for _, _, _, err, _ in _pool_tiles(A, B))
         seen = _count_walks(mp)
         h = metrics.median_bandwidth(A, B)
-        # the bracket path is one Gram walk; where a tile's bound is not
-        # finite it gives up for a counting pass and a gather
-        assert seen == [True] * walks
+        assert seen == [True]  # NaN Gram values and infinite bounds are recomputed in the walk
         assert h == nm.dense_median_bandwidth(A, B)
         for bandwidth in (h, 1.0):
             assert abs(metrics.mmd(A, B, bandwidth) - nm.dense_mmd(A, B, bandwidth)) <= 1e-12
 
 
-@pytest.mark.parametrize("make", [_tight_cluster, _split_cluster], ids=["tight_cluster", "split_cluster"])
-def test_mmd_guard_fires_on_the_cluster(make, monkeypatch):
+# The pooled mean of the tight cluster lies 5e3 from every row, so each of
+# the three blocks (one tile each) is recomputed; that of the split cluster
+# lies among B's rows, so B's own tile is not.
+@pytest.mark.parametrize(
+    "make, tiles", [(_tight_cluster, 3), (_split_cluster, 2)], ids=["tight_cluster", "split_cluster"]
+)
+def test_mmd_guard_fires_on_the_cluster(make, tiles, monkeypatch):
     A, B = make(np.random.default_rng(41))
-    slab_walks = _count_walks(monkeypatch, ("_sq_dist_tiles",))
+    recomputed = _count_recomputed(monkeypatch)
     assert abs(metrics.mmd(A, B, 1.0) - nm.dense_mmd(A, B, 1.0)) <= 1e-12
-    assert slab_walks == [True, True, False]  # the whole call walked slab tiles
+    assert recomputed == [30 * 30] * tiles
 
 
 def test_mmd_guard_stays_quiet_on_plain_data(monkeypatch):
     rng = np.random.default_rng(42)
     A, B = rng.standard_normal((600, 10)), 1.2 * rng.standard_normal((500, 10)) + 0.1
     h = metrics.median_bandwidth(A, B)
-    slab_walks = _count_walks(monkeypatch, ("_sq_dist_tiles",))
+    recomputed = _count_recomputed(monkeypatch)
     assert abs(metrics.mmd(A, B, h) - nm.dense_mmd(A, B, h)) <= 1e-12
-    assert slab_walks == []  # every tile from one matrix product
+    assert recomputed == []  # every tile from one matrix product
 
 
 def test_tvd_row_permutation_invariant_and_symmetric():
