@@ -4,15 +4,22 @@ CSV files must carry a header row and contain only finite numbers; nothing
 is imputed, bad cells are reported with their row and column. Values are
 written with shortest round-trip formatting, so write -> read is exact.
 
-``read_csv`` runs at about the cost of ``float`` itself: it parses a whole
-record with one ``map(float, ...)`` and tests its finiteness with one sum,
-walking cells one by one only to report a bad row, and moves the parsed
-cells into float64 arrays ``_READ_BLOCK_CELLS`` at a time. ``write_csv``
-formats blocks of whole rows, ``_WRITE_BLOCK_CELLS`` cells at most, with one
-``repr`` pass each, producing the bytes ``csv.writer`` would; ``repr`` is
-most of its time, so on a large table with a second usable CPU a forked
-helper formats every other block. It writes to a temporary sibling and
-renames it at the end, so a failed write leaves no partial file.
+``read_csv`` parses every data row in one ``np.loadtxt`` call, which reads a
+number to the same float64 as ``float`` and holds little more than the
+table's array. A file it refuses, or that parses to a wrong width or to a
+non-finite cell, is read again by the strict reader: one ``map(float, ...)``
+a record, its finiteness tested with one sum, cells walked one by one only
+to report a bad row, the parsed cells moved into float64 arrays
+``_READ_BLOCK_CELLS`` at a time. That reader alone names the line and column
+of a bad cell and reads the spellings ``float`` accepts and numpy does not
+(``1_0``, non-ASCII digits), so a file reads the same either way. Files
+are read as UTF-8, a leading byte-order mark dropped, and written as UTF-8.
+
+``write_csv`` formats blocks of whole rows, ``_WRITE_BLOCK_CELLS`` cells at
+most, with one ``repr`` pass each, producing the bytes ``csv.writer`` would;
+``repr`` is most of its time, so on a large table with a second usable CPU a
+forked helper formats every other block. It writes to a temporary sibling
+and renames it at the end, so a failed write leaves no partial file.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ import json
 import math
 import os
 import threading
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -69,17 +77,17 @@ class Table:
             raise UsageError(f"no column named {name!r}") from None
 
 
-# Cells per parsed block in read_csv. Parsed floats wait as Python objects
-# (about 32 bytes a cell) only until their block fills and moves into a
-# float64 array, so reading holds about twice the table's array at most.
+# Cells per parsed block in the strict reader. Parsed floats wait as Python
+# objects (about 32 bytes a cell) only until their block fills and moves into
+# a float64 array, so that reader holds about twice the table's array at most.
 _READ_BLOCK_CELLS = 2560
 
 
 def read_csv(path) -> Table:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        # readline, not the file's iterator, so that tell and seek still work
         try:
-            header = next(reader)
+            header = next(csv.reader(iter(fh.readline, "")))
         except StopIteration:
             raise IngestionError(f"{path}: empty file") from None
         names = tuple(h.strip() for h in header)
@@ -87,31 +95,78 @@ def read_csv(path) -> Table:
             raise IngestionError(f"{path}: blank column name in header")
         if len(set(names)) != len(names):
             raise IngestionError(f"{path}: duplicate column names")
-        blocks, cells = [], []
-        block_cells = max(1, _READ_BLOCK_CELLS // max(len(names), 1)) * len(names)
-        for lineno, record in enumerate(reader, start=2):
-            if not record:
-                continue
-            if len(record) != len(names):
-                raise IngestionError(
-                    f"{path}: line {lineno} has {len(record)} cells, expected {len(names)}"
-                )
-            try:
-                parsed = list(map(float, record))
-            except ValueError:
-                parsed = None
-            # a sum of finite cells can still overflow; the walk then passes the row
-            if parsed is None or not math.isfinite(sum(parsed)):
-                _raise_first_bad_cell(path, lineno, names, record)
-            cells += parsed
-            if len(cells) == block_cells:
-                blocks.append(np.array(cells, dtype=np.float64))
-                cells.clear()
+        values = _parse_rows(path, fh, len(names))
+        if values is None:
+            values = _read_rows_strictly(path, fh, names)
+    return Table(names, values)
+
+
+# ASCII separators 0x1c-0x1f: numpy strips them from around a number as
+# whitespace, float refuses them. In UTF-8 their bytes stand for nothing else.
+_SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+def _parse_rows(path, fh, d: int):
+    """Parse the data rows with numpy in one call. Return None, with ``fh``
+    back at the first data line, unless that gives at least one row of ``d``
+    cells, all finite. A file holding a separator byte, or one that cannot
+    seek back (a pipe), is left to the strict reader unparsed."""
+    if not fh.seekable() or _holds_separators(path):
+        return None
+    start = fh.tell()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # loadtxt warns on a file with no rows
+            values = np.loadtxt(
+                fh, dtype=np.float64, delimiter=",", quotechar='"', comments=None, ndmin=2
+            )
+    except ValueError:
+        values = None
+    # min and max carry any NaN or infinity without a mask the table's size
+    if values is None or values.shape[0] == 0 or values.shape[1] != d or not (
+        math.isfinite(values.min()) and math.isfinite(values.max())
+    ):
+        fh.seek(start)
+        return None
+    return values
+
+
+def _holds_separators(path) -> bool:
+    with open(path, "rb") as raw:
+        while chunk := raw.read(1 << 16):
+            if any(sep in chunk for sep in _SEPARATORS):
+                return True
+    return False
+
+
+def _read_rows_strictly(path, fh, names) -> np.ndarray:
+    """Read the data rows one record at a time, naming the line and column
+    of the first cell that is not a finite number."""
+    blocks, cells = [], []
+    block_cells = max(1, _READ_BLOCK_CELLS // max(len(names), 1)) * len(names)
+    for lineno, record in enumerate(csv.reader(fh), start=2):
+        if not record:
+            continue
+        if len(record) != len(names):
+            raise IngestionError(
+                f"{path}: line {lineno} has {len(record)} cells, expected {len(names)}"
+            )
+        try:
+            parsed = list(map(float, record))
+        except ValueError:
+            parsed = None
+        # a sum of finite cells can still overflow; the walk then passes the row
+        if parsed is None or not math.isfinite(sum(parsed)):
+            _raise_first_bad_cell(path, lineno, names, record)
+        cells += parsed
+        if len(cells) == block_cells:
+            blocks.append(np.array(cells, dtype=np.float64))
+            cells.clear()
     if cells:
         blocks.append(np.array(cells, dtype=np.float64))
     if not blocks:
         raise IngestionError(f"{path}: no data rows")
-    return Table(names, np.concatenate(blocks).reshape(-1, len(names)))
+    return np.concatenate(blocks).reshape(-1, len(names))
 
 
 def _raise_first_bad_cell(path, lineno, names, record) -> None:
@@ -156,7 +211,7 @@ def write_csv(table: Table, path) -> None:
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", newline="") as fh:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerow(table.names)  # names may need quoting
             fh.flush()
             _write_rows(fh.buffer, table.values)

@@ -1,11 +1,15 @@
 import csv
+import math
 import os
 import signal
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dpsynth import cli, models, tabular
 from dpsynth.errors import FitError, IngestionError, ShapeError, UsageError
@@ -78,6 +82,142 @@ def test_read_csv_accepts_rows_whose_sum_overflows(tmp_path):
     np.testing.assert_array_equal(
         t.values, [[1e308, 1e308], [-1e308, -1.7976931348623157e308], [1e308, -1e308]]
     )
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+@pytest.fixture
+def strict_reads(monkeypatch):
+    """Record the path of every file that reaches read_csv's strict reader."""
+    paths = []
+    strict = tabular._read_rows_strictly
+
+    def counted(path, fh, names):
+        paths.append(path)
+        return strict(path, fh, names)
+
+    monkeypatch.setattr(tabular, "_read_rows_strictly", counted)
+    return paths
+
+
+_EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, -2.2250738585072014e-308,
+    1.7976931348623157e308, -1.7976931348623157e308,
+]
+_finite_floats = st.one_of(
+    st.sampled_from(_EDGE_FLOATS),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(0, 2**64 - 1)
+    .map(lambda b: float(np.array(b, dtype=np.uint64).view(np.float64)))
+    .filter(math.isfinite),
+)
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda d: st.lists(st.lists(_finite_floats, min_size=d, max_size=d), min_size=1, max_size=20)
+    )
+)
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_read_csv_parses_every_finite_float_as_float_does(tmp_path_factory, strict_reads, rows):
+    vals = np.array(rows, dtype=np.float64)
+    names = tuple(f"x{j}" for j in range(vals.shape[1]))
+    p = tmp_path_factory.mktemp("bits") / "t.csv"
+    tabular.write_csv(tabular.Table(names, vals), p)
+    np.testing.assert_array_equal(_bits(tabular.read_csv(p).values), _bits(vals))
+    # long spellings: 41 significant digits, and 25 fixed decimals
+    for fmt in ("%.40e", "%.25f"):
+        cells = [[fmt % x for x in row] for row in rows]
+        p.write_text(",".join(names) + "\n" + "".join(",".join(r) + "\n" for r in cells))
+        want = [[float(c) for c in r] for r in cells]
+        np.testing.assert_array_equal(_bits(tabular.read_csv(p).values), _bits(want))
+    assert strict_reads == []  # numpy parses every one of these files
+
+
+@pytest.mark.parametrize(
+    "body,strict",
+    [
+        ("a,b\n 1 ,\t2\n3\t, 4 \n", False),  # spaces and tabs around cells
+        ('a,b\n"1","2.5"\n"-3",4\n', False),  # quoted cells
+        *((f"a,b\n{s},1\n2,{s}\n", False) for s in ("+1", ".5", "5.", "1E+05", "-0")),
+        # float reads these and numpy does not
+        *((f"a,b\n{s},1\n2,{s}\n", True) for s in ("1_0", "\uff11")),
+        ("a,b\n\n1,2\n\n\n3,4\n\n", False),  # blank lines
+        ("a,b\r\n1,2\r\n3,4\r\n", False),
+        ("a,b\r1,2\r3,4\r", False),
+        ("a,b\n1,2\n3,4", False),  # no final newline
+        ("a\n1\n-2.5\n3e-7\n", False),  # d = 1
+    ],
+)
+def test_read_csv_reads_unusual_files_as_float_reads_their_cells(tmp_path, strict_reads, body, strict):
+    p = tmp_path / "t.csv"
+    p.write_bytes(body.encode())
+    with open(p, newline="", encoding="utf-8") as fh:
+        header, *records = csv.reader(fh)
+    t = tabular.read_csv(p)
+    assert t.names == tuple(header)
+    np.testing.assert_array_equal(_bits(t.values), _bits([[float(c) for c in r] for r in records if r]))
+    assert strict_reads == ([p] if strict else [])
+
+
+@pytest.mark.parametrize("sep", ["\x1c", "\x1d", "\x1e", "\x1f"])
+def test_read_csv_refuses_separators_around_a_number(tmp_path, sep):
+    # numpy strips the ASCII separators around a number; float refuses them
+    for cell in (sep + "4", "4" + sep):
+        p = tmp_path / "sep.csv"
+        p.write_text(f"a,b\n1,2\n3,{cell}\n")
+        with pytest.raises(IngestionError) as exc:
+            tabular.read_csv(p)
+        assert f"line 3, column 'b': not a number: {cell!r}" in str(exc.value)
+
+
+@pytest.mark.parametrize("body", ["a\n", "a\n\n\r\n", "a,b\r\n\r\n"])
+def test_read_csv_finds_no_rows_under_a_lone_header(tmp_path, body):
+    p = tmp_path / "head.csv"
+    p.write_bytes(body.encode())
+    with pytest.raises(IngestionError, match="no data rows"):
+        tabular.read_csv(p)
+
+
+def test_read_csv_drops_a_utf8_byte_order_mark(tmp_path):
+    # what a spreadsheet saves as "CSV UTF-8"; both readers must drop the mark
+    for body, last in ((b"3,4", 4.0), (b"3,4_0", 40.0)):
+        p = tmp_path / "bom.csv"
+        p.write_bytes(b"\xef\xbb\xbfa,b\r\n1,2\r\n" + body + b"\r\n")
+        t = tabular.read_csv(p)
+        assert t.names == ("a", "b") and t.column_index("a") == 0
+        np.testing.assert_array_equal(t.values, [[1.0, 2.0], [3.0, last]])
+
+
+def _run_child(code, env=(), **kwargs):
+    """Run ``code`` in a fresh interpreter that imports this dpsynth."""
+    env = dict(os.environ, **dict(env))
+    src = str(Path(tabular.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60, **kwargs)
+
+
+def test_csv_files_are_utf8_whatever_the_locale(tmp_path):
+    # the child's source stays ASCII: under the C locale its argv is ASCII too
+    p = tmp_path / "t.csv"
+    code = (
+        "import numpy as np; from dpsynth import tabular; "
+        "names = ('\\u00e9t\\u00e9', 'b'); "
+        f"tabular.write_csv(tabular.Table(names, np.eye(2)), {str(p)!r}); "
+        f"assert tabular.read_csv({str(p)!r}).names == names"
+    )
+    _run_child(code, {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"})
+    assert p.read_bytes().startswith("été,b\r\n".encode())
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+def test_read_csv_reads_a_pipe():
+    # a pipe cannot seek back to its first data line, so only one reader may see it
+    code = "from dpsynth import tabular; print(tabular.read_csv('/dev/stdin').values.tolist())"
+    done = _run_child(code, input="a,b\n1,2\n3,4\n", capture_output=True, text=True)
+    assert done.stdout == "[[1.0, 2.0], [3.0, 4.0]]\n"
 
 
 def test_csv_round_trip_exact(tmp_path):
@@ -291,7 +431,7 @@ def test_read_csv_round_trips_across_block_edges(tmp_path, n, d):
 
 def test_read_csv_runs_in_bounded_memory(tmp_path):
     # a list of Python floats per row peaked at 13.6 MB on this table; its
-    # array is 2 MB, and the blocks it is joined from 2 MB more
+    # array is 2 MB, and numpy's parse holds little more than the array
     vals = np.random.default_rng(6).standard_normal((25_000, 10))
     p = tmp_path / "big.csv"
     tabular.write_csv(tabular.Table(tuple(f"x{j}" for j in range(10)), vals), p)
@@ -303,6 +443,21 @@ def test_read_csv_runs_in_bounded_memory(tmp_path):
         tracemalloc.stop()
     np.testing.assert_array_equal(back.values, vals)
     assert peak <= 6_000_000
+
+
+def test_read_csv_peaks_near_the_tables_array(tmp_path):
+    # reading into float64 blocks and joining them peaked at twice the array
+    vals = np.random.default_rng(7).standard_normal((100_000, 10))
+    p = tmp_path / "big.csv"
+    tabular.write_csv(tabular.Table(tuple(f"x{j}" for j in range(10)), vals), p)
+    tracemalloc.start()
+    try:
+        back = tabular.read_csv(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(back.values, vals)
+    assert peak <= 1.25 * vals.nbytes + 1_000_000
 
 
 def test_fit_preprocessor_hand_values():
