@@ -10,11 +10,13 @@ The pairwise metrics (the median-heuristic bandwidth and MMD) need finite
 rows and never build the (n, m, d) difference tensor, so memory stays
 bounded at any row count. One walker, ``_gram_tiles``, builds the squared
 distances in 256 x 256 tiles (one reused 512 KB buffer) as
-|x|^2 + |y|^2 - 2 x.y with one BLAS product, on rows centred at the pool's
-mean, and bounds each tile's error against the dense formula; one exact
-formula, ``_pair_sq_dists``, recomputes a pair bit for bit as the dense
-tensor gives it. MMD recomputes each tile where gamma times the bound is
-not below _KERNEL_TOL, so it stays within 4e-13 of the dense formula.
+|x|^2 + |y|^2 - 2 x.y, on rows centred at the pool's mean, with one BLAS
+product per tile and nothing else: the squared norms ride in the operands,
+[x, |x|^2, 1] against [-2 y, 1, |y|^2]. It bounds each tile's error
+against the dense formula; one exact formula, ``_pair_sq_dists``,
+recomputes a pair bit for bit as the dense tensor gives it. MMD recomputes
+each tile where gamma times the bound is not below _KERNEL_TOL, so it stays
+within 4e-13 of the dense formula.
 
 The median is an exact selection, bit-identical to ``np.median`` of all
 pairwise distances. Each Gram walk counts exactly the squared distances
@@ -205,15 +207,18 @@ def _kl(p: np.ndarray, m: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # MMD
 
-# Gram tiles are _GRAM_TILE square (512 KB, about 3 ns a pair on one BLAS
-# thread); the per-pair formula takes _TILE_FLOATS differences (1 MB) at a time.
+# Gram tiles are _GRAM_TILE square (512 KB, about 0.7 ns a pair on one BLAS
+# thread: a 4,000-row pool's 136-tile walk at d=10 took 5.4 ms, against 7.3
+# with 128-row tiles and 10.2 with 512); the per-pair formula takes
+# _TILE_FLOATS differences (1 MB) at a time.
 _GRAM_TILE = 256
 _TILE_FLOATS = 1 << 17
 # MMD recomputes a Gram tile pair by pair when gamma times its error bound
 # is not below _KERNEL_TOL; elsewhere each kernel value moves by less than
 # that (plus a few roundings), and MMD, two within-sample means plus twice a
-# cross mean, by less than 4 * _KERNEL_TOL. On the benchmark's 2,000 + 2,000
-# x 10 evaluate the widest tile's product is about 5e-14: 1e-14 would recompute it.
+# cross mean, by less than 4 * _KERNEL_TOL. On release-d10's 2,000 + 2,000
+# x 10 evaluate (workload seeds 1-12) the widest tile's product is 3e-14 to
+# 1.5e-13, and 0 to 9 of 136 tiles are recomputed; 1e-14 would recompute more.
 _KERNEL_TOL = 1e-13
 # A selection walk keeps the keys inside its window, a sample past _GATHER_MAX.
 _GATHER_MAX = 1 << 20
@@ -237,22 +242,61 @@ def _gram_err(d: int, a, b) -> float:
     return 2 * (d + 4) * _UNIT_ROUNDOFF * r * r + (4 * d + 8) * _SMALLEST_SUBNORMAL
 
 
+def _sq_norms(Z: np.ndarray) -> np.ndarray:
+    """Squared row norms of Z within about 2u of the exact ones (u the unit
+    roundoff; plus what underflow loses). Each square is rounded once (u),
+    and their sum carries the rounding error of every addition (Sum2 of
+    Ogita, Rump and Oishi, *Accurate sum and dot product*, 2005), so it adds
+    u + gamma_{d-1}^2 where a plain sum could add gamma_{d-1}."""
+    P = np.square(Z.T, order="C")
+    s, c = P[0], np.zeros(Z.shape[0])
+    for p in P[1:]:
+        t = s + p
+        z = t - s
+        c += (s - (t - z)) + (p - z)  # exactly what t lost (Knuth's TwoSum)
+        s = t
+    return s + c
+
+
 def _gram_tiles(X: np.ndarray, Y: np.ndarray, upper: bool = False, *, centre: np.ndarray):
     """Yield (i0, j0, G, err, mask) over square tiles of the squared distances
     between rows of X and rows of Y: G[r, c] stands for the distance between
-    X[i0 + r] and Y[j0 + c], built as |x|^2 + |y|^2 - 2 x.y with one matrix
-    product per tile, on rows centred at ``centre``.
+    X[i0 + r] and Y[j0 + c], on rows x, y centred at ``centre``. The squared
+    norms ride in the operands, L = [x, |x|^2, 1] (one row per x) and
+    R = [-2 y; 1; |y|^2] (one column per y), built once per walk, so a tile
+    is one matrix product of d + 2 terms, x.(-2 y) + |x|^2 + |y|^2.
 
     ``err`` (``_gram_err``) bounds |G - the dense formula's value| over the
     tile, whatever order the BLAS sums in (FMA included). With u the unit
-    roundoff, a, b the tile's largest centred row norms and R = (a + b)^2:
-    the norms, the product and the two additions err by at most
-    gamma_{d+2} R (Higham, *Accuracy and Stability of Numerical Algorithms*,
-    section 3.1), the rounding of the centring moves the exact distance by
-    at most about 2u R, and the dense formula errs by at most gamma_{d+2}
-    times the distance; ``err`` is 2 (d + 4) u R, which covers their sum,
-    plus a term for underflow. Where err is finite, so is every G in the
-    tile; where a tile's norms could overflow it, err is infinite.
+    roundoff, gamma_k = k u / (1 - k u), a, b the tile's largest centred row
+    norms and s = (a + b)^2 (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, lemma 3.3 and section 3.1):
+
+    - a stored |x|^2 is within about 2u |x|^2 of the exact one
+      (``_sq_norms``); the matrix product takes it times 1, exactly, and
+      adds it with at most d + 1 roundings, so it enters G within
+      gamma_{d+3} |x|^2, and |y|^2 likewise;
+    - each term x_k (-2 y_k) (the scale by -2 is exact) enters G within
+      gamma_{d+2} of its size, one rounding for the product and at most
+      d + 1 for the sum, so those terms err by at most gamma_{d+2} 2ab;
+    - so G is within gamma_{d+3} (a^2 + b^2) + gamma_{d+2} 2ab, at most
+      gamma_{d+3} s, of the exact distance between the centred rows;
+    - the rounding of the centring moves that distance by at most about
+      2u s from the distance between the rows themselves;
+    - the dense formula errs by at most gamma_{d+2} times that distance
+      (one rounding of each difference, counted twice in its square, one of
+      the square, at most d - 1 additions), and the distance is at most
+      about s.
+
+    The sum is (2d + 7) u s to first order; ``err`` is 2 (d + 4) u s, whose
+    extra u s covers the second-order terms for any d below 10^7, plus
+    (4d + 8) times the smallest subnormal, which covers the half of it that
+    each of the at most 4d + 2 squares, products and fused multiply-adds
+    can lose to underflow. (With the norms summed plainly, within
+    gamma_d, a BLAS that adds them first would put them within
+    gamma_{2d+1}, past this err for d > 3.) Where err is finite, so is
+    every G in the tile; where a tile's norms could overflow it, err is
+    infinite.
 
     With ``upper`` (Y is X) only the tiles j0 >= i0 are walked, and the
     diagonal tiles (i0 == j0) come with ``mask``, true at the pairs j > i;
@@ -261,12 +305,21 @@ def _gram_tiles(X: np.ndarray, Y: np.ndarray, upper: bool = False, *, centre: np
     if X.shape[1] == 0:  # no columns: every distance is the empty sum, 0.0
         X, Y, centre = np.zeros((X.shape[0], 1)), np.zeros((Y.shape[0], 1)), np.zeros(1)
     d = X.shape[1]
-    Xc = X - centre
-    Yc = Xc if upper else Y - centre
-    x2 = np.einsum("ij,ij->i", Xc, Xc)
-    y2 = x2 if upper else np.einsum("ij,ij->i", Yc, Yc)
-    YT2 = -2.0 * Yc.T  # exact: a power-of-two scale
-    xn, yn = np.sqrt(x2), np.sqrt(y2)
+    L = np.empty((X.shape[0], d + 2))
+    Xc = np.subtract(X, centre, out=L[:, :d])
+    L[:, d] = _sq_norms(Xc)
+    L[:, d + 1] = 1.0
+    R = np.empty((d + 2, Y.shape[0]))
+    if upper:
+        np.multiply(Xc.T, -2.0, out=R[:d])  # exact: a power-of-two scale
+        R[d + 1] = L[:, d]
+    else:
+        Yc = Y - centre
+        R[d + 1] = _sq_norms(Yc)
+        np.multiply(Yc.T, -2.0, out=R[:d])
+    R[d] = 1.0
+    xn = np.sqrt(L[:, d])
+    yn = xn if upper else np.sqrt(R[d + 1])
     t = _GRAM_TILE
     buf = np.empty(t * t)
     above = np.triu(np.ones((t, t), dtype=bool), k=1) if upper else None
@@ -276,9 +329,7 @@ def _gram_tiles(X: np.ndarray, Y: np.ndarray, upper: bool = False, *, centre: np
         for j0 in range(i0 if upper else 0, Y.shape[0], t):
             j1 = min(j0 + t, Y.shape[0])
             G = buf[: (i1 - i0) * (j1 - j0)].reshape(i1 - i0, j1 - j0)
-            np.matmul(Xc[i0:i1], YT2[:, j0:j1], out=G)
-            G += x2[i0:i1, None]
-            G += y2[None, j0:j1]
+            np.matmul(L[i0:i1], R[:, j0:j1], out=G)
             mask = above[: i1 - i0, : j1 - j0] if upper and i0 == j0 else None
             yield i0, j0, G, _gram_err(d, a, yn[j0:j1].max()), mask
 

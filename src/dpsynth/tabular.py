@@ -13,7 +13,9 @@ to report a bad row, the parsed cells moved into float64 arrays
 ``_READ_BLOCK_CELLS`` at a time. That reader alone names the line and column
 of a bad cell and reads the spellings ``float`` accepts and numpy does not
 (``1_0``, non-ASCII digits), so a file reads the same either way. Files
-are read as UTF-8, a leading byte-order mark dropped, and written as UTF-8.
+are read as UTF-8, a leading byte-order mark dropped, and written as UTF-8;
+bytes that are not UTF-8, and a cell longer than ``csv.field_size_limit()``,
+raise ``IngestionError`` with their line.
 
 ``write_csv`` formats blocks of whole rows, ``_WRITE_BLOCK_CELLS`` cells at
 most, with one ``repr`` pass each, producing the bytes ``csv.writer`` would;
@@ -84,13 +86,19 @@ _READ_BLOCK_CELLS = 2560
 
 
 def read_csv(path) -> Table:
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    # bytes that are not UTF-8 decode to lone surrogates, which no name may
+    # hold and no number parses from, so they are refused with their line
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
         # readline, not the file's iterator, so that tell and seek still work
         try:
             header = next(csv.reader(iter(fh.readline, "")))
         except StopIteration:
             raise IngestionError(f"{path}: empty file") from None
+        except csv.Error as err:
+            raise IngestionError(f"{path}: line 1: {err}") from None
         names = tuple(h.strip() for h in header)
+        if not _is_utf8(",".join(names)):
+            raise IngestionError(f"{path}: line 1: the header is not UTF-8")
         if any(not h for h in names):
             raise IngestionError(f"{path}: blank column name in header")
         if len(set(names)) != len(names):
@@ -144,7 +152,7 @@ def _read_rows_strictly(path, fh, names) -> np.ndarray:
     of the first cell that is not a finite number."""
     blocks, cells = [], []
     block_cells = max(1, _READ_BLOCK_CELLS // max(len(names), 1)) * len(names)
-    for lineno, record in enumerate(csv.reader(fh), start=2):
+    for lineno, record in enumerate(_records(path, fh), start=2):
         if not record:
             continue
         if len(record) != len(names):
@@ -169,19 +177,38 @@ def _read_rows_strictly(path, fh, names) -> np.ndarray:
     return np.concatenate(blocks).reshape(-1, len(names))
 
 
+def _records(path, fh):
+    """The CSV records of ``fh``; a cell longer than
+    ``csv.field_size_limit()`` raises ``IngestionError`` with its line."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as err:
+        raise IngestionError(f"{path}: line {reader.line_num + 1}: {err}") from None
+
+
 def _raise_first_bad_cell(path, lineno, names, record) -> None:
     """Raise for the first cell of the record that is not a finite number."""
     for col, cell in zip(names, record):
         try:
             v = float(cell)
         except ValueError:
-            raise IngestionError(
-                f"{path}: line {lineno}, column {col!r}: not a number: {cell!r}"
-            ) from None
+            what = f"not a number: {cell!r}" if _is_utf8(cell) else "bytes that are not UTF-8"
+            raise IngestionError(f"{path}: line {lineno}, column {col!r}: {what}") from None
         if not math.isfinite(v):
             raise IngestionError(
                 f"{path}: line {lineno}, column {col!r}: non-finite value {cell!r}"
             )
+
+
+def _is_utf8(text: str) -> bool:
+    """False if ``text`` holds a lone surrogate, which is what a byte that
+    is not UTF-8 decodes to under ``surrogateescape``."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 # Cells per block in write_csv (256 rows at d=10, about 50 KB of CSV). This

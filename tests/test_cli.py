@@ -174,6 +174,28 @@ def test_missing_data_file_is_ingestion_exit(tmp_path):
     assert run_cli("train", "--data", tmp_path / "nope.csv", "--out", tmp_path / "x") == 3
 
 
+@pytest.mark.parametrize(
+    "body,needle",
+    [
+        (b"a,b\n1,\xff\n", "line 2, column 'b': bytes that are not UTF-8"),
+        (b"\xff,b\n1,2\n", "line 1: the header is not UTF-8"),
+        (b"a,b\n1," + b"x" * 200_000, "line 2: field larger than field limit"),
+    ],
+    ids=["cell", "header", "long_cell"],
+)
+def test_undecodable_or_overlong_csv_is_ingestion_exit(tmp_path, capsys, body, needle):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(body)
+    good = tmp_path / "good.csv"
+    good.write_text("a,b\n1,2\n3,4\n")
+    for synthetic, test in ((bad, good), (good, bad)):
+        rc = run_cli("evaluate", "--synthetic", synthetic, "--test", test, "--out", tmp_path / "eval")
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert needle in err and "Traceback" not in err
+    assert not (tmp_path / "eval" / "metrics.json").exists()
+
+
 def test_divergence_maps_to_numeric_exit(tmp_path, capsys):
     sim = simulate(tmp_path, d=3, n=60)
     rc = run_cli("train", "--data", sim / "data.csv", "--steps", 200, "--batch", 20,

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -536,6 +537,78 @@ def test_mmd_guard_stays_quiet_on_plain_data(monkeypatch):
     recomputed = _count_recomputed(monkeypatch)
     assert abs(metrics.mmd(A, B, h) - nm.dense_mmd(A, B, h)) <= 1e-12
     assert recomputed == []  # every tile from one matrix product
+
+
+def test_mmd_guard_stays_quiet_at_the_benchmark_size(monkeypatch):
+    # release-d10's evaluate: 2,000 + 2,000 rows of 10 columns. A bound
+    # grown wide enough to recompute a tile here would send that evaluate
+    # down the per-pair formula
+    rng = np.random.default_rng(43)
+    A, B = rng.standard_normal((2000, 10)), 1.2 * rng.standard_normal((2000, 10)) + 0.1
+    h = metrics.median_bandwidth(A, B)
+    recomputed = _count_recomputed(monkeypatch)
+    assert metrics.mmd(A, B, h) >= 0.0
+    assert recomputed == []
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 10, 30, 64])
+def test_sq_norms_are_within_two_units_of_the_exact_ones(d):
+    # the bound counts on this: a plain sum errs by up to gamma_d, which
+    # the Gram product can compound with d + 1 more roundings
+    rng = np.random.default_rng(45)
+    Z = rng.standard_normal((200, d)) * 10.0 ** rng.uniform(-3, 3, (200, d))
+    u = Fraction(2) ** -53
+    for row, got in zip(Z, metrics._sq_norms(Z)):
+        exact = sum(Fraction(float(z)) ** 2 for z in row)
+        assert abs(Fraction(float(got)) - exact) <= (2 * u + (d * u) ** 2) * exact
+
+
+def _offset_scaled(d):
+    def make(rng):
+        # columns over eight decades, 1e3 from the origin: cancellation in
+        # every product, tiles of every width
+        scale = 10.0 ** rng.uniform(-4, 4, d)
+        A = rng.standard_normal((300, d)) * scale + 1e3
+        return A, (1.5 * rng.standard_normal((250, d)) + 0.2) * scale + 1e3
+
+    return make
+
+
+# Every tile's err must bound |G - the dense formula| at every pair it
+# yields (on a diagonal tile, at the pairs its mask keeps), for blocks
+# across two samples and for the pool's own upper triangle.
+@pytest.mark.parametrize("upper", [False, True], ids=["blocks", "upper"])
+@pytest.mark.parametrize(
+    "make",
+    [
+        *(_offset_scaled(d) for d in (1, 3, 10, 12, 30, 64)),
+        _gaussian, _binary, _duplicate_rows, _offset_rows, _tight_cluster, _split_cluster,
+        _column_scales, _near_duplicates, _too_large_to_square, _all_rows_too_large,
+    ],
+    ids=[
+        *(f"d{d}" for d in (1, 3, 10, 12, 30, 64)),
+        "gaussian", "binary", "duplicate_rows", "offset_1e6", "tight_cluster", "split_cluster",
+        "column_scales", "near_duplicates", "offset_2e154", "all_rows_2e500",
+    ],
+)
+def test_gram_tiles_stay_within_their_error_bounds(make, upper, monkeypatch):
+    monkeypatch.setattr(metrics, "_GRAM_TILE", 100)  # partial and diagonal tiles
+    A, B = make(np.random.default_rng(44))
+    pool = np.vstack([A, B])
+    X, Y = (pool, pool) if upper else (A, B)
+    finite = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i0, j0, G, err, mask in metrics._gram_tiles(X, Y, upper, centre=pool.mean(axis=0)):
+            if math.isinf(err):
+                continue
+            finite += 1
+            i, j = np.indices(G.shape)
+            if mask is not None:
+                i, j = i[mask], j[mask]
+            exact = metrics._pair_sq_dists(X, Y, i.ravel() + i0, j.ravel() + j0)
+            assert np.all(np.abs(G[i, j].ravel() - exact) <= err), (i0, j0)
+    # rows 1e153 or more from the pooled mean leave no bound finite
+    assert (finite == 0) == (make in (_too_large_to_square, _all_rows_too_large))
 
 
 def test_tvd_row_permutation_invariant_and_symmetric():

@@ -65,11 +65,20 @@ def test_read_csv_small_file(tmp_path):
         ("a,b\n1,2\n\n\n3,x\n", "line 5, column 'b': not a number"),
         ("a,b\r\n\r\n1,2\r\n\r\n3,inf\r\n", "line 5, column 'b': non-finite"),
         ("a,b\n\n1,2,3\n", "line 3 has 3 cells"),
+        # bytes that are not UTF-8 (written from lone surrogates), and cells
+        # past the csv module's field limit of 131,072 characters
+        ("a,b\n1,\udcff\n", "line 2, column 'b': bytes that are not UTF-8"),
+        ("a,b\n1,2\n3,4\udcc3\n", "line 3, column 'b': bytes that are not UTF-8"),
+        ("\udcff,b\n1,2\n", "line 1: the header is not UTF-8"),
+        ("\ufeffa,\udce9\n1,2\n", "line 1: the header is not UTF-8"),
+        pytest.param("a,b\n1," + "x" * 200_000 + "\n", "line 2: field larger than field limit", id="long_cell"),
+        pytest.param("a,b\n1,2\n3,4\n5," + "1" * 200_000, "line 4: field larger than field limit", id="long_number"),
+        pytest.param("a," + "b" * 200_000 + "\n1,2\n", "line 1: field larger than field limit", id="long_name"),
     ],
 )
 def test_read_csv_locates_errors(tmp_path, body, needle):
     p = tmp_path / "bad.csv"
-    p.write_text(body)
+    p.write_bytes(body.encode("utf-8", "surrogateescape"))
     with pytest.raises(IngestionError) as exc:
         tabular.read_csv(p)
     assert needle in str(exc.value)
