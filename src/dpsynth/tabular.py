@@ -14,8 +14,12 @@ to report a bad row, the parsed cells moved into float64 arrays
 of a bad cell and reads the spellings ``float`` accepts and numpy does not
 (``1_0``, non-ASCII digits), so a file reads the same either way. Files
 are read as UTF-8, a leading byte-order mark dropped, and written as UTF-8;
-bytes that are not UTF-8, and a cell longer than ``csv.field_size_limit()``,
-raise ``IngestionError`` with their line.
+bytes that are not UTF-8, and a cell longer than ``csv.field_size_limit()``
+(131,072 characters), raise ``IngestionError`` with their line. A file with
+a line longer than that limit goes to the strict reader unparsed, so that a
+long cell is refused whichever way the file is read; a row wider than about
+6,000 columns of ``write_csv``'s numbers takes that path too and reads to
+the same values, only more slowly.
 
 ``write_csv`` formats blocks of whole rows, ``_WRITE_BLOCK_CELLS`` cells at
 most, with one ``repr`` pass each, producing the bytes ``csv.writer`` would;
@@ -117,9 +121,10 @@ _SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 def _parse_rows(path, fh, d: int):
     """Parse the data rows with numpy in one call. Return None, with ``fh``
     back at the first data line, unless that gives at least one row of ``d``
-    cells, all finite. A file holding a separator byte, or one that cannot
-    seek back (a pipe), is left to the strict reader unparsed."""
-    if not fh.seekable() or _holds_separators(path):
+    cells, all finite. A file holding a separator byte or a line longer
+    than ``csv.field_size_limit()``, or one that cannot seek back (a pipe),
+    is left to the strict reader unparsed."""
+    if not fh.seekable() or _needs_strict_reader(path):
         return None
     start = fh.tell()
     try:
@@ -139,10 +144,26 @@ def _parse_rows(path, fh, d: int):
     return values
 
 
-def _holds_separators(path) -> bool:
+def _needs_strict_reader(path) -> bool:
+    """Whether the file holds a separator byte or a line longer than
+    ``csv.field_size_limit()``, which may hold a cell the csv module
+    refuses and numpy reads. A line that lies inside one chunk is shorter
+    than the chunk, which is no longer than the limit, so only the lines
+    between one chunk's last line end and a later chunk's first are
+    measured. Lengths are in bytes, at least the characters they decode to."""
+    limit = csv.field_size_limit()
     with open(path, "rb") as raw:
-        while chunk := raw.read(1 << 16):
+        line_start = 0  # file offset where the current line begins
+        while chunk := raw.read(max(1, min(1 << 16, limit))):
             if any(sep in chunk for sep in _SEPARATORS):
+                return True
+            offset = raw.tell() - len(chunk)
+            ends = [i for i in (chunk.find(b"\n"), chunk.find(b"\r")) if i >= 0]
+            if ends:
+                if offset + min(ends) - line_start > limit:
+                    return True
+                line_start = offset + max(chunk.rfind(b"\n"), chunk.rfind(b"\r")) + 1
+            elif raw.tell() - line_start > limit:
                 return True
     return False
 

@@ -294,6 +294,102 @@ def test_generate_refuses_non_finite_rows(tmp_path):
     assert run_cli("generate", "--model", moderate, "--n", 5, "--out", tmp_path / "ok") == 0
 
 
+def _model_files(tmp_path, d, scale=None):
+    """A random checkpoint at d columns and a preprocessor for it (shift
+    and scale drawn at random unless ``scale`` is given)."""
+    rng = np.random.default_rng(d)
+    g = models.random_generator(d, rng)
+    ckpt = tmp_path / f"model{d}.json"
+    models.save_checkpoint(ckpt, g, models.new_discriminator(d, 0.5, rng))
+    if scale is None:
+        scale = rng.uniform(0.5, 5.0, d)
+    pre = tabular.Preprocessor(tuple(f"c{j}" for j in range(d)), rng.normal(0.0, 3.0, d), scale)
+    pre_path = tmp_path / f"pre{d}.json"
+    tabular.save_preprocessor(pre_path, pre)
+    return g, ckpt, pre, pre_path
+
+
+def _blockwise_rows(g, n, seed, block=1024):
+    """sample_batch on consecutive row blocks of one noise draw; a lone
+    last row joins the block before it."""
+    Z = np.random.default_rng(seed).standard_normal((n, g.d))
+    starts = list(range(0, n, block))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return np.concatenate([models.sample_batch(g, Z[i:j]) for i, j in zip(starts, starts[1:] + [n])])
+
+
+@pytest.mark.parametrize("d", [3, 30])
+def test_generate_writes_the_rows_of_1024_row_blocks_of_one_noise_draw(tmp_path, d):
+    g, ckpt, pre, pre_path = _model_files(tmp_path, d)
+    for n in (1, 1023, 1024, 1025, 3077):
+        X = _blockwise_rows(g, n, seed=5)
+        expected = {
+            "plain": tabular.Table(tuple(f"x{j + 1}" for j in range(d)), X),
+            "pre": tabular.inverse_transform(pre, tabular.Table(pre.names, X)),
+        }
+        for kind, table in expected.items():
+            want = tmp_path / f"want_{kind}_{n}.csv"
+            tabular.write_csv(table, want)
+            out = tmp_path / f"gen_{kind}_{n}"
+            flags = ("--preprocessor", pre_path) if kind == "pre" else ()
+            assert run_cli("generate", "--model", ckpt, "--n", n, "--seed", 5, *flags, "--out", out) == 0
+            assert (out / "synthetic.csv").read_bytes() == want.read_bytes(), (kind, n)
+
+
+def test_generate_at_d10_writes_the_rows_of_one_sample_batch_call(tmp_path):
+    # gemm gives a row the same bits in any number of rows at this width,
+    # so blocks leave generate's bytes as one call on the whole draw made them
+    g, ckpt, *_ = _model_files(tmp_path, 10)
+    for n in (1, 1025, 2049, 3077):
+        X = models.sample_batch(g, np.random.default_rng(5).standard_normal((n, 10)))
+        want = tmp_path / f"want{n}.csv"
+        tabular.write_csv(tabular.Table(tuple(f"x{j + 1}" for j in range(10)), X), want)
+        out = tmp_path / f"gen{n}"
+        assert run_cli("generate", "--model", ckpt, "--n", n, "--seed", 5, "--out", out) == 0
+        assert (out / "synthetic.csv").read_bytes() == want.read_bytes(), n
+
+
+def test_generate_refuses_a_non_finite_value_in_the_last_block(tmp_path):
+    n, d, last = 3072, 4, 2048
+    g, *_ = _model_files(tmp_path, d)
+    # the first seed whose last block holds some column's largest magnitude
+    for seed in range(100):
+        X = np.abs(_blockwise_rows(g, n, seed))
+        before, after = X[:last].max(axis=0), X[last:].max(axis=0)
+        j = int(np.argmax(after / before))
+        if after[j] > 1.01 * before[j]:
+            break
+    else:
+        pytest.fail("no seed puts a column's largest magnitude in the last block")
+    # a scale that keeps every earlier value of column j finite and overflows that one
+    scale = np.ones(d)
+    scale[j] = np.finfo(np.float64).max / np.sqrt(before[j] * after[j])
+    _, ckpt, _, pre_path = _model_files(tmp_path, d, scale=scale)
+    out = tmp_path / "gen"
+    with np.errstate(over="ignore"):
+        assert run_cli("generate", "--model", ckpt, "--n", n, "--seed", seed,
+                       "--preprocessor", pre_path, "--out", out) == 4
+    assert not out.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [f"model{d}.json", f"pre{d}.json"]
+    # the blocks before the last are finite
+    assert run_cli("generate", "--model", ckpt, "--n", last, "--seed", seed,
+                   "--preprocessor", pre_path, "--out", out) == 0
+
+
+def test_generate_holds_one_table_and_small_blocks(tmp_path):
+    n, d = 200_000, 10
+    g, _, pre, _ = _model_files(tmp_path, d)
+    tracemalloc.start()
+    try:
+        table = cli._synthesize(g, n, 5, pre)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.values.shape == (n, d)
+    assert peak < n * d * 8 + 2e6  # the 16 MB table plus 2 MB
+
+
 def test_generate_dimension_mismatch(tmp_path):
     sim = simulate(tmp_path)
     run = train(tmp_path, sim)

@@ -74,6 +74,13 @@ def test_read_csv_small_file(tmp_path):
         pytest.param("a,b\n1," + "x" * 200_000 + "\n", "line 2: field larger than field limit", id="long_cell"),
         pytest.param("a,b\n1,2\n3,4\n5," + "1" * 200_000, "line 4: field larger than field limit", id="long_number"),
         pytest.param("a," + "b" * 200_000 + "\n1,2\n", "line 1: field larger than field limit", id="long_name"),
+        # a long finite cell: numpy would read it, the strict reader refuses it
+        pytest.param("a,b\n1,0." + "0" * 200_000 + "1", "line 2: field larger than field limit", id="long_finite_cell"),
+        pytest.param(
+            "a,b\n1,0." + "0" * 200_000 + "1\n2,\x1f3\n",
+            "line 2: field larger than field limit",
+            id="long_finite_cell_then_separator",
+        ),
     ],
 )
 def test_read_csv_locates_errors(tmp_path, body, needle):
@@ -227,6 +234,33 @@ def test_read_csv_reads_a_pipe():
     code = "from dpsynth import tabular; print(tabular.read_csv('/dev/stdin').values.tolist())"
     done = _run_child(code, input="a,b\n1,2\n3,4\n", capture_output=True, text=True)
     assert done.stdout == "[[1.0, 2.0], [3.0, 4.0]]\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+def test_read_csv_refuses_a_long_finite_cell_in_a_pipe_too():
+    code = (
+        "from dpsynth import tabular\n"
+        "try:\n    tabular.read_csv('/dev/stdin')\n"
+        "except tabular.IngestionError as exc:\n    print(exc)\n"
+    )
+    body = "a,b\n1,0." + "0" * 200_000 + "1"
+    done = _run_child(code, input=body, capture_output=True, text=True)
+    assert "line 2: field larger than field limit" in done.stdout
+
+
+@pytest.mark.parametrize("before", [0, 40_000, 70_000])
+def test_read_csv_leaves_lines_past_the_field_limit_to_the_strict_reader(tmp_path, strict_reads, before):
+    # a line of exactly the limit stays with numpy, one byte more does not;
+    # ``before`` bytes of shorter lines move it across the 64 KB scan chunks
+    limit = csv.field_size_limit()
+    head = "a,b\n" + "1,2\n" * (before // 4)
+    for extra, strict in ((0, False), (1, True)):
+        p = tmp_path / f"long{extra}.csv"
+        long_line = "3,0." + "0" * (limit - 5 + extra) + "1"
+        p.write_text(head + long_line + "\n4,5\n")
+        t = tabular.read_csv(p)
+        assert t.values[-2:].tolist() == [[3.0, 0.0], [4.0, 5.0]]
+        assert strict_reads.count(p) == strict
 
 
 def test_csv_round_trip_exact(tmp_path):
