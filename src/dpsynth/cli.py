@@ -181,23 +181,29 @@ def cmd_train(args) -> int:
     t0 = time.perf_counter()
     values = _settings(args)
     cfg = _train_config(values)
+    clock = time.perf_counter()
     data = tabular.read_csv(args.data)
+    timings = {"read": time.perf_counter() - clock}
+    clock = time.perf_counter()
     sigma = _sigma(
         values["sigma"], values["epsilon"], cfg.dp.delta, data.n, cfg.batch, cfg.releases
     )
+    if values["epsilon"] is not None:
+        timings["calibrate"] = time.perf_counter() - clock
     if sigma is not None:
         cfg = replace(cfg, dp=replace(cfg.dp, noise_multiplier=sigma))
 
     pre = tabular.fit_preprocessor(data)
     standardized = tabular.transform(pre, data)
     g, f, report = training.train(standardized, cfg)
+    timings["train"] = report.wall_clock
 
     out = _out_dir(args)
     models.save_checkpoint(out / "checkpoint.json", g, f)
     tabular.save_preprocessor(out / "preprocessor.json", pre)
     _write_json(out / "report.json", report.to_dict())
     outputs = ["checkpoint.json", "preprocessor.json", "report.json"]
-    _manifest(out, "train", _record(cfg), cfg.seed, [args.data], outputs, t0)
+    _manifest(out, "train", _record(cfg), cfg.seed, [args.data], outputs, t0, timings=timings)
     if report.non_private:
         print("non-private run (sigma = 0): epsilon = inf")
     else:

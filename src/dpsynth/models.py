@@ -335,12 +335,12 @@ def generator_grad(
         start = tail - s.skip.size - s.w_in.size
         dW = grad[start : start + s.w_in.size].reshape(s.w_in.shape)
         dskip = grad[start + s.w_in.size : tail]
-        dW[:jj] = prefix.T @ dfeat
-        dW[jj] = z @ dfeat
-        dskip[:jj] = xbar @ prefix
+        np.matmul(prefix.T, dfeat, out=dW[:jj])
+        np.matmul(z, dfeat, out=dW[jj])
+        np.matmul(xbar, prefix, out=dskip[:jj])
         dskip[jj] = xbar @ z
         if jj > 0:
-            dX[:, :jj] += np.outer(xbar, s.skip[:jj]) + dfeat @ s.w_in[:jj].T
+            dX[:, :jj] += xbar[:, None] * s.skip[:jj] + dfeat @ s.w_in[:jj].T
         end = start
 
     groups = _group_positions(g.d, g.subs[0].width)
@@ -373,31 +373,35 @@ def disc_loss_grads_batch(f: Discriminator, X_real: np.ndarray, fakes: np.ndarra
     """Per-example critic-loss gradients for real rows paired with fakes.
 
     Returns ``(grads, f_real, f_fake)`` where ``grads[i]`` is the gradient of
-    ``-(critic(X_real[i]) - critic(fakes[i]))``, in ``f.nu`` order, from two
-    per-example ``nn.backward`` passes. The fakes come from ``sample_batch``;
-    the caller draws them, so one sampling pass can serve several steps.
+    ``-(critic(X_real[i]) - critic(fakes[i]))``, in ``f.nu`` order. The
+    stacked rows ``[fakes; X_real]`` take one ``disc_forward_batch`` and one
+    per-example ``nn.backward``, seeded +1 for each fake and -1 for each real
+    row, and the real half is then added into the fake half. The fakes come
+    from ``sample_batch``; the caller draws them, so one sampling pass can
+    serve several steps.
 
-    ``out`` is an optional (2, cap, P) float64 scratch buffer. When
-    cap >= B the fake pass is written into ``out[0, :B]``, the real pass
-    into ``out[1, :B]``, their sum into ``out[0, :B]``, and ``grads`` is
-    that view: it is valid until the next call on the same buffer. A
-    missing or smaller buffer is replaced by a fresh one.
+    ``out`` is an optional (2, cap, P) float64 scratch buffer, read as 2·cap
+    rows of P. When cap >= B the stacked pass fills its first 2B rows, the
+    sum lands in ``out[0, :B]``, and ``grads`` is that view: it is valid
+    until the next call on the same buffer. A missing or smaller buffer is
+    replaced by a fresh one (and a non-contiguous one by its reshaped copy).
     """
     X_real = np.asarray(X_real, dtype=np.float64)
     fakes = np.asarray(fakes, dtype=np.float64)
-    if X_real.shape[0] != fakes.shape[0]:
-        raise ShapeError("real batch and fake batch must pair up")
-    f_real, real_caches = disc_forward_batch(f, X_real)
-    f_fake, fake_caches = disc_forward_batch(f, fakes)
+    if X_real.shape != fakes.shape:
+        raise ShapeError(f"real batch {X_real.shape} and fake batch {fakes.shape} must pair up")
     B = len(fakes)
+    values, caches = disc_forward_batch(f, np.concatenate((fakes, X_real)))
     if out is None or out.shape[1] < B:
         out = np.empty((2, B, f.nu.size))
-    ones = np.ones((B, 1))
-    # the critic's input gradient is not needed, so neither pass computes it
-    grads = nn.backward(f.layers, fake_caches, ones, per_example=True, out=out[0, :B], input_grad=False)[1]
-    nn.backward(f.layers, real_caches, -ones, per_example=True, out=out[1, :B], input_grad=False)
-    np.add(grads, out[1, :B], out=grads)
-    return grads, f_real, f_fake
+    rows = out.reshape(2 * out.shape[1], -1)[: 2 * B]
+    delta = np.ones((2 * B, 1))
+    delta[B:] = -1.0
+    # the critic's input gradient is not needed, so the pass does not compute it
+    nn.backward(f.layers, caches, delta, per_example=True, out=rows, input_grad=False)
+    grads = rows[:B]
+    np.add(grads, rows[B:], out=grads)
+    return grads, values[B:], values[:B]
 
 
 def clip_weights(f: Discriminator) -> Discriminator:

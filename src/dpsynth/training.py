@@ -145,8 +145,10 @@ def _run_phase(
     in the same order, as one draw per step), and samples every critic
     step's fakes in one ``sample_batch`` pass. A window that ends on a
     multiple of t_g closes with a generator step on the noise's tail rows.
-    Every critic step's per-example gradients go into one (2, cap, P)
-    buffer, grown only when a window's largest batch exceeds cap.
+    Every critic step runs its fakes and real rows through the critic as one
+    stacked batch, and the 2B per-example gradients of that pass go into one
+    (2, cap, P) buffer, read as 2·cap rows and grown only when a window's
+    largest batch exceeds cap.
     """
     _, rng_batch, rng_z, rng_noise = rngs
     gen_updates = 0

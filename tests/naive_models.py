@@ -1,6 +1,6 @@
 """Slow, loop-based re-implementations used as oracles: the generator and
-critic forward passes, the per-column generator gradient, and the per-step
-training loop.
+critic forward passes, the two-pass critic-loss gradients, the per-column
+generator gradient, and the per-step training loop.
 
 The forward passes deliberately avoid the library's vectorized code paths:
 one example at a time, plain Python sums over inputs and units.
@@ -45,6 +45,20 @@ def naive_discriminator(f, x):
     for layer in f.layers:
         h = _layer(layer, h)
     return h[0]
+
+
+def naive_disc_loss_grads(f, X_real, fakes):
+    """``models.disc_loss_grads_batch`` as two passes: the fakes and the real
+    rows each take their own critic forward and per-example backward (seeded
+    +1 and -1), and the real pass is added into the fake pass."""
+    X_real = np.asarray(X_real, dtype=np.float64)
+    fakes = np.asarray(fakes, dtype=np.float64)
+    f_real, real_caches = models.disc_forward_batch(f, X_real)
+    f_fake, fake_caches = models.disc_forward_batch(f, fakes)
+    ones = np.ones((len(fakes), 1))
+    grads = nn.backward(f.layers, fake_caches, ones, per_example=True)[1]
+    grads += nn.backward(f.layers, real_caches, -ones, per_example=True)[1]
+    return grads, f_real, f_fake
 
 
 def naive_run_phase(data, g, f, cfg, q, sched, rngs):

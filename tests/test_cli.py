@@ -110,6 +110,21 @@ def test_train_epsilon_calibration_self_consistent(tmp_path, capsys):
     assert "epsilon" in capsys.readouterr().out
 
 
+def test_train_times_its_stages_in_the_manifest_only(tmp_path):
+    sim = simulate(tmp_path)
+    head = ("train", "--data", sim / "data.csv", "--steps", 20, "--batch", 20, "--seed", 0)
+    stages = {"--epsilon": {"read", "calibrate", "train"}, "--sigma": {"read", "train"}}
+    for flag, want in stages.items():
+        outs = [tmp_path / f"{flag[2:]}_{k}" for k in "ab"]
+        for out in outs:
+            assert run_cli(*head, flag, 1.0, "--out", out) == 0
+        timings = json.loads((outs[0] / "manifest.json").read_text())["timings"]
+        assert set(timings) == want, flag
+        assert all(isinstance(t, float) and t >= 0.0 for t in timings.values())
+        assert "timings" not in json.loads((outs[0] / "report.json").read_text())
+        assert (outs[0] / "report.json").read_bytes() == (outs[1] / "report.json").read_bytes()
+
+
 def test_train_two_step_epsilon_is_calibrated_for_both_phases(tmp_path):
     sim = simulate(tmp_path)
     out = tmp_path / "twostep"

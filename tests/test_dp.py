@@ -175,6 +175,96 @@ def test_calibrate_round_trip():
     assert abs(sigma - 2.0) / 2.0 < 0.01
 
 
+def full_curve_calibration(target, q, steps):
+    """``calibrate_sigma``'s bisection written out over full RDP curves: the
+    sigma it must return, or the CalibrationError message it must raise."""
+
+    def eps_at(sigma):
+        return dp.eps_and_order(dp.rdp(q, sigma, steps), target.delta)[0]
+
+    lo, hi = 1e-2, 1e3
+    band_lo = target.epsilon * (1.0 - 1e-3)
+    eps_lo, eps_hi = eps_at(lo), eps_at(hi)
+    if not eps_lo > eps_hi:
+        return f"epsilon not decreasing over the bracket: eps({lo})={eps_lo}, eps({hi})={eps_hi}"
+    if eps_hi > target.epsilon:
+        return f"target epsilon {target.epsilon} unreachable: even sigma={hi} gives {eps_hi:.6g}"
+    if eps_lo < band_lo:
+        return f"target epsilon {target.epsilon} unreachable: sigma={lo} already gives {eps_lo:.6g}"
+    if eps_lo <= target.epsilon:
+        return lo
+    for _ in range(200):
+        mid = math.sqrt(lo * hi)
+        eps_mid = eps_at(mid)
+        if band_lo <= eps_mid <= target.epsilon:
+            return mid
+        if eps_mid > target.epsilon:
+            lo = mid
+        else:
+            hi = mid
+    return "bisection failed to land in the target band"
+
+
+def test_calibration_matches_a_bisection_over_full_curves():
+    outcomes = set()
+    for q in (1e-4, 50 / 12384, 0.025, 0.3, 1.0):
+        for steps in (1, 10, 500, 14000):
+            for epsilon in (0.05, 0.5, 1.0, 3.0, 10.0):
+                for delta in (1e-5, 1e-8):
+                    target = dp.PrivacySpec(epsilon, delta)
+                    want = full_curve_calibration(target, q, steps)
+                    try:
+                        got = dp.calibrate_sigma(target, q, steps)
+                    except CalibrationError as err:
+                        got = str(err)
+                    assert got == want, (q, steps, epsilon, delta)
+                    outcomes.add(type(want))
+    assert outcomes == {float, str}  # the grid reaches both answers and refusals
+
+
+def _bits(x):
+    return np.float64(x).view(np.uint64)
+
+
+@given(
+    q=st.one_of(st.sampled_from([0.0, 1e-300, 1e-12, 1e-4, 50 / 12384, 0.5, 1.0]), st.floats(0.0, 1.0)),
+    sigma=st.one_of(st.sampled_from([0.0, 1e-2, 1.1387463605011234, 1e3]), st.floats(1e-3, 1e3)),
+    steps=st.one_of(st.sampled_from([0, 1, 500, 14000]), st.integers(0, 10**6)),
+    delta=st.one_of(st.sampled_from([1e-300, 1e-12, 1e-5, 0.5]), st.floats(1e-300, 0.999)),
+)
+def test_epsilon_for_equals_the_full_curve_conversion_bit_for_bit(q, sigma, steps, delta):
+    want = dp.eps_and_order(dp.rdp(q, sigma, steps), delta)[0]
+    assert _bits(dp.epsilon_for(q, sigma, steps, delta)) == _bits(want)
+
+
+def test_epsilon_for_keeps_the_curve_checks():
+    for q, sigma, steps, delta in ((0.1, -1.0, 5, 1e-5), (0.1, math.inf, 5, 1e-5), (0.1, 1.0, -1, 1e-5),
+                                   (1.5, 1.0, 5, 1e-5), (0.1, 1.0, 5, 1.0), (0.1, 1.0, 5, 0.0)):
+        with pytest.raises(UsageError):
+            dp.epsilon_for(q, sigma, steps, delta)
+    assert dp.epsilon_for(1.5, 1.0, 0, 1e-5) == dp.eps_and_order(dp.rdp(1.5, 1.0, 0), 1e-5)[0]
+
+
+def test_calibration_reads_a_third_of_the_orders_at_the_benchmark_spec(monkeypatch):
+    calls = {"rdp": 0, "evals": 0}
+    rdp_one, epsilon_for = dp.rdp_subsampled_gaussian, dp.epsilon_for
+
+    def counted_rdp(*args):
+        calls["rdp"] += 1
+        return rdp_one(*args)
+
+    def counted_eps(*args):
+        calls["evals"] += 1
+        return epsilon_for(*args)
+
+    monkeypatch.setattr(dp, "rdp_subsampled_gaussian", counted_rdp)
+    monkeypatch.setattr(dp, "epsilon_for", counted_eps)
+    sigma = dp.calibrate_sigma(dp.PrivacySpec(1.0, 1e-5), 50 / 12384, 500)
+    assert sigma == 1.1387463605011234
+    assert calls["evals"] == 17
+    assert calls["rdp"] <= len(dp.DEFAULT_ORDERS) * calls["evals"] / 3
+
+
 def test_calibrate_unreachable_target():
     with pytest.raises(CalibrationError):
         dp.calibrate_sigma(dp.PrivacySpec(1e-9, 1e-5), 0.5, 10000)

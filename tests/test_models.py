@@ -8,7 +8,13 @@ from hypothesis import given, settings, strategies as st
 from dpsynth import models, nn
 from dpsynth.errors import ShapeError, UsageError
 from dpsynth.nn import IDENTITY, LEAKY_RELU, DenseLayer
-from naive_models import naive_discriminator, naive_generator, naive_generator_grad, naive_subgen
+from naive_models import (
+    naive_disc_loss_grads,
+    naive_discriminator,
+    naive_generator,
+    naive_generator_grad,
+    naive_subgen,
+)
 from oracles import grad_check, group_lasso, objective_delta, penalized_objective
 
 
@@ -313,6 +319,43 @@ def test_disc_grads_reuse_one_buffer_bit_for_bit():
         for a, b in zip(got, fresh):
             np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
         assert np.shares_memory(got[0], buf) == (B <= 8)
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 10, 30])
+def test_stacked_disc_grads_match_the_two_pass_oracle_bit_for_bit(d):
+    rng = np.random.default_rng(45 + d)
+    g = models.random_generator(d, rng)
+    f = models.new_discriminator(d, 0.5, rng)
+    for B in (1, 2, 3, 7, 50, 64):
+        X = rng.standard_normal((B, d))
+        fakes = models.sample_batch(g, rng.standard_normal((B, d)))
+        got = models.disc_loss_grads_batch(f, X, fakes)
+        want = naive_disc_loss_grads(f, X, fakes)
+        if B > 1:
+            np.testing.assert_array_equal(got[0].view(np.uint64), want[0].view(np.uint64))
+        else:  # a one-row product goes to gemv, whose last bits may differ
+            np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-12)
+        for a, b in zip(got[1:], want[1:]):  # the critic values, which training does not read
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+
+def test_disc_grads_take_one_forward_and_one_backward(monkeypatch):
+    calls = {"forward": 0, "backward": 0}
+    for name in calls:
+        original = getattr(nn, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(nn, name, counted)
+    rng = np.random.default_rng(46)
+    f = models.new_discriminator(4, 0.5, rng)
+    buf = np.empty((2, 9, f.nu.size))
+    for B in (1, 9, 12):
+        before = dict(calls)
+        models.disc_loss_grads_batch(f, rng.standard_normal((B, 4)), rng.standard_normal((B, 4)), out=buf)
+        assert {k: calls[k] - before[k] for k in calls} == {"forward": 1, "backward": 1}
 
 
 def _grad_cases(d, rng):
