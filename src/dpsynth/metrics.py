@@ -14,18 +14,20 @@ distances in 256 x 256 tiles (one reused 512 KB buffer) as
 product per tile and nothing else: the squared norms ride in the operands,
 [x, |x|^2, 1] against [-2 y, 1, |y|^2]. It bounds each tile's error
 against the dense formula; one exact formula, ``_pair_sq_dists``,
-recomputes a pair bit for bit as the dense tensor gives it. MMD recomputes
-each tile where gamma times the bound is not below _KERNEL_TOL, so it stays
-within 4e-13 of the dense formula.
+recomputes a pair bit for bit as the dense tensor gives it. In a tile
+where gamma times the bound is not below _KERNEL_TOL, MMD recomputes each
+pair whose own bound (from its two rows' norms) is not below it either, so
+it stays within 4e-13 of the dense formula.
 
 The median is an exact selection, bit-identical to ``np.median`` of all
 pairwise distances. Each Gram walk counts exactly the squared distances
 below and inside a window: a pair whose Gram value lies more than its
 tile's error bound outside the window is counted or passed over, and the
 rest are recomputed and kept, or sampled past _GATHER_MAX. The first window
-is read off the distances of 2^16 random pairs; one that holds both middle
-ranks in at most _GATHER_MAX keys answers in one walk, and any other is
-narrowed from its sample or moved by its exact counts.
+is read off the distances of about (2 pairs)^(2/3) random pairs, at most
+2^16; one that holds both middle ranks in at most _GATHER_MAX keys answers
+in one walk, and any other is narrowed from its sample or moved by its
+exact counts.
 """
 
 from __future__ import annotations
@@ -147,11 +149,6 @@ def _hist_1d(idx_col: np.ndarray, bins: int) -> np.ndarray:
     return np.bincount(idx_col, minlength=bins) / idx_col.size
 
 
-def _hist_2d(idx_i: np.ndarray, idx_j: np.ndarray, bins: int) -> np.ndarray:
-    flat = idx_i * bins + idx_j
-    return np.bincount(flat, minlength=bins * bins).reshape(bins, bins) / idx_i.size
-
-
 def _binned(a, b, grid: BinGrid | None, bins: int):
     """Bin indices of both tables and the bin count, on ``grid`` or else on
     one fitted on b with ``bins`` bins."""
@@ -167,22 +164,29 @@ def tvd_1way(a, b, grid: BinGrid | None = None, bins: int = DEFAULT_BINS) -> flo
     return float(np.mean(vals))
 
 
+def _hists_2d_from(idx: np.ndarray, i: int, bins: int) -> np.ndarray:
+    """Binned joint marginals of column i with each column j > i, one row of
+    bins^2 frequencies per j, from one bincount: pair k's cells are offset
+    by k bins^2."""
+    k = idx.shape[1] - 1 - i
+    flat = idx[:, i, None] * bins + idx[:, i + 1 :]
+    flat += np.arange(k) * (bins * bins)
+    return np.bincount(flat.ravel(), minlength=k * bins * bins).reshape(k, bins * bins) / idx.shape[0]
+
+
 def tvd_2way(a, b, grid: BinGrid | None = None, bins: int = DEFAULT_BINS):
     """Total variation between binned pairwise marginals.
 
-    Returns (mean, sum) over the C(d, 2) column pairs; the mean is the
-    headline value.
+    Returns (mean, sum) over the C(d, 2) column pairs, in the order (0, 1),
+    (0, 2), ..., (d - 2, d - 1); the mean is the headline value.
     """
     ia, ib, bins = _binned(a, b, grid, bins)
     d = ia.shape[1]
     if d < 2:
         raise UsageError("tvd_2way needs at least two columns")
-    vals = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            pa = _hist_2d(ia[:, i], ia[:, j], bins)
-            pb = _hist_2d(ib[:, i], ib[:, j], bins)
-            vals.append(0.5 * np.abs(pa - pb).sum())
+    vals = np.concatenate(
+        [0.5 * np.abs(_hists_2d_from(ia, i, bins) - _hists_2d_from(ib, i, bins)).sum(axis=1) for i in range(d - 1)]
+    )
     return float(np.mean(vals)), float(np.sum(vals))
 
 
@@ -213,33 +217,41 @@ def _kl(p: np.ndarray, m: np.ndarray) -> float:
 # _TILE_FLOATS differences (1 MB) at a time.
 _GRAM_TILE = 256
 _TILE_FLOATS = 1 << 17
-# MMD recomputes a Gram tile pair by pair when gamma times its error bound
-# is not below _KERNEL_TOL; elsewhere each kernel value moves by less than
-# that (plus a few roundings), and MMD, two within-sample means plus twice a
-# cross mean, by less than 4 * _KERNEL_TOL. On release-d10's 2,000 + 2,000
-# x 10 evaluate (workload seeds 1-12) the widest tile's product is 3e-14 to
-# 1.5e-13, and 0 to 9 of 136 tiles are recomputed; 1e-14 would recompute more.
+# MMD recomputes a pair by the per-pair formula when gamma times its own
+# error bound is not below _KERNEL_TOL; elsewhere each kernel value moves by
+# less than that (plus a few roundings), and MMD, two within-sample means
+# plus twice a cross mean, by less than 4 * _KERNEL_TOL. On release-d10's
+# 2,000 + 2,000 x 10 evaluate (workload seeds 1-12) the widest tile's
+# product is 3e-14 to 1.5e-13, 0 to 9 of 136 tiles hold a pair past it, and
+# 0 to 43 of the 8.0M pairs are recomputed; 1e-14 would recompute more.
 _KERNEL_TOL = 1e-13
 # A selection walk keeps the keys inside its window, a sample past _GATHER_MAX.
 _GATHER_MAX = 1 << 20
 # Above _SAMPLE_PAIRS pairs, the first window is read off the squared
-# distances of _SAMPLE_PAIRS random row pairs (fixed seed). A window's ends
-# sit _BRACKET_SDS binomial standard deviations beyond the sample positions
-# of its ranks; at 2,000 + 2,000 rows the first holds about 1/64 of the pairs.
+# distances of _bracket_size(pairs) random row pairs (fixed seed). A
+# window's ends sit _BRACKET_SDS binomial standard deviations beyond the
+# sample positions of its ranks, so a sample of s pairs leaves about
+# 2 _BRACKET_SDS sqrt(p (1 - p) / s) pairs = 4 pairs / sqrt(s) keys in the
+# window at the median (p = 1/2). The first walk recomputes the sample and
+# about the window's keys, s + 4 pairs / sqrt(s), least at
+# s = (2 pairs)^(2/3) (Floyd and Rivest's N^(2/3), CACM 1975): 63,485 at
+# 2,000 + 2,000 rows, 9,993 at 500 + 500, where 2^16 took about three
+# quarters of the median's time. _SAMPLE_PAIRS caps it.
 _SAMPLE_PAIRS = 1 << 16
 _BRACKET_SDS = 4.0
 _UNIT_ROUNDOFF = 2.0**-53
 _SMALLEST_SUBNORMAL = 2.0**-1074
 
 
-def _gram_err(d: int, a, b) -> float:
-    """Bound on |G - the dense formula's value| for a Gram distance between
-    rows of centred norms at most a and b over d columns (``_gram_tiles``);
-    infinite when a + b is 2^500 or more, or NaN, below which G is finite."""
-    r = float(a + b)
-    if not r < 2.0**500:
-        return math.inf
-    return 2 * (d + 4) * _UNIT_ROUNDOFF * r * r + (4 * d + 8) * _SMALLEST_SUBNORMAL
+def _gram_err(d: int, a, b) -> np.ndarray:
+    """Bounds on |G - the dense formula's value| for Gram distances between
+    rows of centred norms at most a and b over d columns (``_gram_tiles``),
+    elementwise over the broadcast arrays a and b; infinite where a + b is
+    2^500 or more, or NaN, below which G is finite."""
+    r = np.add(a, b)
+    s = np.minimum(r, 2.0**500)  # no overflow where the bound is infinite
+    err = 2 * (d + 4) * _UNIT_ROUNDOFF * s * s + (4 * d + 8) * _SMALLEST_SUBNORMAL
+    return np.where(r < 2.0**500, err, math.inf)
 
 
 def _sq_norms(Z: np.ndarray) -> np.ndarray:
@@ -259,9 +271,12 @@ def _sq_norms(Z: np.ndarray) -> np.ndarray:
 
 
 def _gram_tiles(X: np.ndarray, Y: np.ndarray, upper: bool = False, *, centre: np.ndarray):
-    """Yield (i0, j0, G, err, mask) over square tiles of the squared distances
-    between rows of X and rows of Y: G[r, c] stands for the distance between
-    X[i0 + r] and Y[j0 + c], on rows x, y centred at ``centre``. The squared
+    """Yield (i0, j0, G, err, mask, norms) over square tiles of the squared
+    distances between rows of X and rows of Y: G[r, c] stands for the
+    distance between X[i0 + r] and Y[j0 + c], on rows x, y centred at
+    ``centre``. ``norms`` holds the centred norms of the tile's rows of X
+    and of its rows of Y: ``_gram_err`` at a pair's two norms bounds that
+    pair alone, err at the tile's largest. The squared
     norms ride in the operands, L = [x, |x|^2, 1] (one row per x) and
     R = [-2 y; 1; |y|^2] (one column per y), built once per walk, so a tile
     is one matrix product of d + 2 terms, x.(-2 y) + |x|^2 + |y|^2.
@@ -321,17 +336,22 @@ def _gram_tiles(X: np.ndarray, Y: np.ndarray, upper: bool = False, *, centre: np
     xn = np.sqrt(L[:, d])
     yn = xn if upper else np.sqrt(R[d + 1])
     t = _GRAM_TILE
+    # one bound per tile, from its largest norms (infinite if one is NaN)
+    errs = _gram_err(
+        d,
+        np.maximum.reduceat(xn, np.arange(0, xn.size, t))[:, None],
+        np.maximum.reduceat(yn, np.arange(0, yn.size, t)),
+    ).tolist()
     buf = np.empty(t * t)
     above = np.triu(np.ones((t, t), dtype=bool), k=1) if upper else None
     for i0 in range(0, X.shape[0], t):
         i1 = min(i0 + t, X.shape[0])
-        a = xn[i0:i1].max()
         for j0 in range(i0 if upper else 0, Y.shape[0], t):
             j1 = min(j0 + t, Y.shape[0])
             G = buf[: (i1 - i0) * (j1 - j0)].reshape(i1 - i0, j1 - j0)
             np.matmul(L[i0:i1], R[:, j0:j1], out=G)
             mask = above[: i1 - i0, : j1 - j0] if upper and i0 == j0 else None
-            yield i0, j0, G, _gram_err(d, a, yn[j0:j1].max()), mask
+            yield i0, j0, G, errs[i0 // t][j0 // t], mask, (xn[i0:i1], yn[j0:j1])
 
 
 def _pair_sq_dists(X: np.ndarray, Y: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -382,13 +402,19 @@ def _window(sample: np.ndarray, ranks, count: int, lo: float, hi: float):
     return (float(sample[a]) if 0 <= a < s else lo), (float(sample[b]) if b < s else hi)
 
 
+def _bracket_size(pairs: int) -> int:
+    """How many random pairs the first window is read off: about
+    (2 pairs)^(2/3), at most _SAMPLE_PAIRS."""
+    return min(_SAMPLE_PAIRS, round((2 * pairs) ** (2 / 3)))
+
+
 def _bracket(X: np.ndarray, ranks, pairs: int):
     """The selection's first window: the whole key range at or below
     _SAMPLE_PAIRS pairs, else one read off the sorted squared distances of
-    _SAMPLE_PAIRS random row pairs."""
+    ``_bracket_size(pairs)`` random row pairs."""
     if pairs <= _SAMPLE_PAIRS:
         return 0.0, math.inf
-    return _window(np.sort(_sampled_sq_dists(X, _SAMPLE_PAIRS)), ranks, pairs, 0.0, math.inf)
+    return _window(np.sort(_sampled_sq_dists(X, _bracket_size(pairs))), ranks, pairs, 0.0, math.inf)
 
 
 def _walk(X: np.ndarray, lo: float, hi: float, centre: np.ndarray, rng):
@@ -403,7 +429,7 @@ def _walk(X: np.ndarray, lo: float, hi: float, centre: np.ndarray, rng):
     below = count = 0
     least, most = math.inf, -math.inf
     kept, size, rate = np.empty(_GRAM_TILE * _GRAM_TILE), 0, 1.0
-    for i0, j0, G, err, mask in _gram_tiles(X, X, upper=True, centre=centre):
+    for i0, j0, G, err, mask, _ in _gram_tiles(X, X, upper=True, centre=centre):
         # thresholds rounded outwards, so that G < lo - err implies a
         # distance below lo, and G > hi + err one above hi; NaN fails both
         under = G < np.nextafter(lo - err, -math.inf)
@@ -527,9 +553,11 @@ def mmd(a, b, bandwidth: float | None = None) -> float:
 
     Each Gram block is summed over ``_gram_tiles`` centred at the pooled
     mean (numpy sums a tile, tiles add in row-major order; within a sample
-    the pairs j > i, doubled); a tile where gamma times its error bound is
-    not below _KERNEL_TOL is recomputed pair by pair, which keeps the result
-    within 4 * _KERNEL_TOL of the dense formula's."""
+    the pairs j > i, doubled). In a tile where gamma times its error bound
+    is not below _KERNEL_TOL, each pair whose own bound is not below it
+    either is recomputed by the per-pair formula, so that every kernel value
+    moves by less than _KERNEL_TOL and the result by less than
+    4 * _KERNEL_TOL from the dense formula's."""
     A, B, pool = _pooled(a, b)
     n, m = A.shape[0], B.shape[0]
     if n < 2 or m < 2:
@@ -540,12 +568,21 @@ def mmd(a, b, bandwidth: float | None = None) -> float:
     gamma = 1.0 / (2.0 * h * h)
     centre = pool.mean(axis=0)
 
+    def wide(err):
+        return np.logical_not(gamma * err < _KERNEL_TOL)  # so is a NaN or infinite bound
+
     def gram_sum(X, Y, upper=False):
         total = 0.0
-        for i0, j0, G, err, mask in _gram_tiles(X, Y, upper, centre=centre):
-            if not gamma * err < _KERNEL_TOL:
-                i, j = np.indices(G.shape).reshape(2, -1)
-                G = _pair_sq_dists(X, Y, i + i0, j + j0).reshape(G.shape)
+        for i0, j0, G, err, mask, (a, b) in _gram_tiles(X, Y, upper, centre=centre):
+            if wide(err):
+                # a pair's bound is at most its row's against the tile's
+                # largest norm of Y, and its column's against that of X: the
+                # pairs' own bounds are needed only where both are wide
+                rows = np.flatnonzero(wide(_gram_err(pool.shape[1], a, b.max())))
+                cols = np.flatnonzero(wide(_gram_err(pool.shape[1], a.max(), b)))
+                at = np.flatnonzero(wide(_gram_err(pool.shape[1], a[rows, None], b[cols])))
+                i, j = rows[at // cols.size], cols[at % cols.size]
+                G[i, j] = _pair_sq_dists(X, Y, i + i0, j + j0)
             sq = G if mask is None else G[mask]
             np.multiply(sq, -gamma, out=sq)
             total += float(np.exp(sq, out=sq).sum())

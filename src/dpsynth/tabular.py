@@ -364,9 +364,10 @@ def _start_helper(values: np.ndarray, starts, rows: int):
 class Preprocessor:
     """Per-column affine standardization fitted on a training table.
 
-    The statistics are plain (non-noised) column means and standard
-    deviations, so they leak information about the fitted data; treat the
-    fitted object as private metadata.
+    The shift and scale are raw column statistics, plain (non-noised) means
+    and standard deviations of the fitted data, and the run's epsilon does
+    not cover them. They are not kept private: ``generate --preprocessor``
+    writes every row as X·scale + shift, so ``synthetic.csv`` carries both.
     """
 
     names: tuple

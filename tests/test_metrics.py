@@ -77,6 +77,24 @@ def test_tvd_2way_hand_enumeration():
     assert abs(mean2 - 0.5) < 1e-15  # half the mass must move
 
 
+def _bits(values):
+    return [int(np.float64(v).view(np.uint64)) for v in values]
+
+
+def test_tvd_2way_equals_the_per_pair_loop_bit_for_bit():
+    rng = np.random.default_rng(5)
+    cases = [(2, 1, 2), (2, 1, 20), (3, 7, 2), (34, 299, 29)]
+    cases += [(int(rng.integers(2, 35)), int(rng.integers(1, 300)), int(rng.integers(2, 30))) for _ in range(60)]
+    for k, (d, n, bins) in enumerate(cases):
+        A = rng.standard_normal((n, d))
+        B = 1.3 * rng.standard_normal((int(rng.integers(1, 300)), d)) + 0.2
+        if k % 2:  # rounded: heavy ties, some on bin edges
+            A, B = np.round(A, 1), np.round(B, 1)
+        grid = metrics.fit_grid(B, bins)
+        want = nm.loop_tvd_2way(metrics.bin_indices(grid, A), metrics.bin_indices(grid, B), bins)
+        assert _bits(metrics.tvd_2way(A, B, grid)) == _bits(want), (d, n, bins)
+
+
 def test_js_hand_values():
     rng = np.random.default_rng(2)
     A = rng.standard_normal((20, 3))
@@ -313,8 +331,8 @@ def test_pairwise_metrics_run_in_bounded_memory(kind):
 # Above _SAMPLE_PAIRS pairs the first window is read off a random sample of
 # pairs, and one walk answers when it holds both middle ranks with at most
 # _GATHER_MAX keys. A lowered _GATHER_MAX of 2^14 still keeps the first
-# window of a 600-row pool (about 180,000 pairs, a window of about 3,000
-# keys) whole.
+# window of a 600-row pool (about 180,000 pairs, a sample of about 5,000
+# and a window of about 10,000 keys) whole.
 _BRACKET_GATHER_MAX = 1 << 14
 
 
@@ -363,6 +381,45 @@ def test_bracket_median_matches_dense_formula_in_one_walk(n_a, d, monkeypatch):
     assert walks == [True]
 
 
+def _count_sampled(monkeypatch) -> list:
+    """Record the number of random pairs every bracket sample draws."""
+    sizes = []
+    sampled = metrics._sampled_sq_dists
+
+    def counted(X, size):
+        sizes.append(size)
+        return sampled(X, size)
+
+    monkeypatch.setattr(metrics, "_sampled_sq_dists", counted)
+    return sizes
+
+
+# The train workloads evaluate 500 + 500 rows (499,500 pairs): the first
+# window is read off at most (2 pairs)^(2/3) = 9,993 random pairs, not 2^16,
+# and still answers in one walk.
+@pytest.mark.parametrize("d", [10, 30])
+def test_bracket_sample_is_sized_to_the_pair_count(d, monkeypatch):
+    walks, sampled = _count_walks(monkeypatch), _count_sampled(monkeypatch)
+    rng = np.random.default_rng(500 + d)
+    A, B = rng.standard_normal((500, d)), 1.2 * rng.standard_normal((500, d)) + 0.1
+    assert metrics.median_bandwidth(A, B) == nm.dense_median_bandwidth(A, B)
+    assert walks == [True]
+    assert len(sampled) == 1 and sampled[0] <= (2 * 499_500) ** (2 / 3)
+
+
+# 362 rows make 65,341 pairs, at most _SAMPLE_PAIRS: the first window is the
+# whole key range. 363 rows make 65,703, read off a sample of 2,585.
+@pytest.mark.parametrize("rows", [362, 363])
+def test_median_is_exact_either_side_of_the_sampled_bracket(rows, monkeypatch):
+    sampled = _count_sampled(monkeypatch)
+    pairs = rows * (rows - 1) // 2
+    assert (pairs > metrics._SAMPLE_PAIRS) == (rows == 363)
+    rng = np.random.default_rng(rows)
+    A, B = rng.standard_normal((rows - 150, 6)), rng.standard_normal((150, 6)) + 0.3
+    assert metrics.median_bandwidth(A, B) == nm.dense_median_bandwidth(A, B)
+    assert sampled == ([] if rows == 362 else [metrics._bracket_size(pairs)])
+
+
 def _empty_bracket(mp):
     _bracket_returning(mp, lambda lo, hi: (lo, lo))
 
@@ -396,6 +453,9 @@ def test_bracket_median_is_exact_on_ties(make, overflow, monkeypatch):
     pairs = 700 * 699 // 2
     gather_max = 100 if overflow else pairs - 1
     monkeypatch.setattr(metrics, "_GATHER_MAX", gather_max)
+    # a 2^16-pair sample puts the duplicate rows' first window on one tied
+    # key value; a smaller one can span two, which overflows into more walks
+    monkeypatch.setattr(metrics, "_bracket_size", lambda pairs: 1 << 16)
     walks = _count_walks(monkeypatch)
     counts, walk = [], metrics._walk
 
@@ -508,7 +568,7 @@ def test_gram_bracket_and_mmd_are_exact_on_adversarial_inputs(make, monkeypatch)
     monkeypatch.setattr(metrics, "_SAMPLE_PAIRS", rows * (rows - 1) // 2 - 1)
     with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
         if make is _all_rows_too_large:
-            assert all(math.isinf(err) for _, _, _, err, _ in _pool_tiles(A, B))
+            assert all(math.isinf(err) for _, _, _, err, _, _ in _pool_tiles(A, B))
         seen = _count_walks(mp)
         h = metrics.median_bandwidth(A, B)
         assert seen == [True]  # NaN Gram values and infinite bounds are recomputed in the walk
@@ -551,6 +611,22 @@ def test_mmd_guard_stays_quiet_at_the_benchmark_size(monkeypatch):
     assert recomputed == []
 
 
+def test_mmd_guard_recomputes_only_the_far_rows_pairs(monkeypatch):
+    # A Gaussian pool of scale 1e3 with one row 1e6 away. That row widens
+    # the bound of every tile it is in, but the other pairs' own bounds stay
+    # below _KERNEL_TOL (its pull on the pooled mean is about 1e3), so only
+    # its pairs take the per-pair formula: its row and column of A's
+    # diagonal tile (2 * 256 - 1 pairs), the rest of its row in A (244) and
+    # its row against B's two tiles (256, 244)
+    rng = np.random.default_rng(46)
+    A, B = 1e3 * rng.standard_normal((500, 10)), 1e3 * rng.standard_normal((500, 10))
+    A[0] += 1e6
+    h = metrics.median_bandwidth(A, B)
+    recomputed = _count_recomputed(monkeypatch)
+    assert abs(metrics.mmd(A, B, h) - nm.dense_mmd(A, B, h)) <= 1e-12
+    assert recomputed == [2 * 256 - 1, 244, 256, 244]
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 10, 30, 64])
 def test_sq_norms_are_within_two_units_of_the_exact_ones(d):
     # the bound counts on this: a plain sum errs by up to gamma_d, which
@@ -576,7 +652,9 @@ def _offset_scaled(d):
 
 # Every tile's err must bound |G - the dense formula| at every pair it
 # yields (on a diagonal tile, at the pairs its mask keeps), for blocks
-# across two samples and for the pool's own upper triangle.
+# across two samples and for the pool's own upper triangle; so must each
+# pair's own bound from the tile's norms, which MMD reads in a tile whose
+# err is too wide, and which is at most err.
 @pytest.mark.parametrize("upper", [False, True], ids=["blocks", "upper"])
 @pytest.mark.parametrize(
     "make",
@@ -598,15 +676,13 @@ def test_gram_tiles_stay_within_their_error_bounds(make, upper, monkeypatch):
     X, Y = (pool, pool) if upper else (A, B)
     finite = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for i0, j0, G, err, mask in metrics._gram_tiles(X, Y, upper, centre=pool.mean(axis=0)):
-            if math.isinf(err):
-                continue
-            finite += 1
-            i, j = np.indices(G.shape)
-            if mask is not None:
-                i, j = i[mask], j[mask]
-            exact = metrics._pair_sq_dists(X, Y, i.ravel() + i0, j.ravel() + j0)
-            assert np.all(np.abs(G[i, j].ravel() - exact) <= err), (i0, j0)
+        for i0, j0, G, err, mask, (a, b) in metrics._gram_tiles(X, Y, upper, centre=pool.mean(axis=0)):
+            finite += not math.isinf(err)
+            pair_err = metrics._gram_err(X.shape[1], a[:, None], b)
+            assert np.all(pair_err <= err), (i0, j0)
+            i, j = np.nonzero(np.isfinite(pair_err) if mask is None else np.isfinite(pair_err) & mask)
+            exact = metrics._pair_sq_dists(X, Y, i + i0, j + j0)
+            assert np.all(np.abs(G[i, j] - exact) <= pair_err[i, j]), (i0, j0)
     # rows 1e153 or more from the pooled mean leave no bound finite
     assert (finite == 0) == (make in (_too_large_to_square, _all_rows_too_large))
 
