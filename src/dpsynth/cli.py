@@ -3,7 +3,8 @@
 Every file-producing command takes --out and writes only inside it, ending with
 a manifest.json recording the resolved configuration, seed, tool version, input
 hashes, and output names, so any run can be re-derived. Exit codes: 0 success,
-2 usage, 3 data ingestion, 4 numeric failure, 5 calibration failure.
+2 usage (a table too large to hold in memory included), 3 data ingestion,
+4 numeric failure, 5 calibration failure.
 """
 
 from __future__ import annotations
@@ -65,6 +66,14 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _check_table_size(n: int, d: int) -> None:
+    """Refuse a table of n x d float64 cells larger than any address space."""
+    if n * d * 8 > sys.maxsize:
+        raise UsageError(
+            f"a table of {n} x {d} numbers needs {n * d * 8} bytes, more than memory can hold"
+        )
+
+
 # ---------------------------------------------------------------- simulate
 
 
@@ -80,6 +89,7 @@ def cmd_simulate(args) -> int:
         dag = semdata.sample_sf_dag(args.d, args.attach or 1, seed=args.seed)
     spec = semdata.SemSpec(kind=args.kind)
     weights = semdata.sample_weights(dag, spec, seed=args.seed)
+    _check_table_size(args.n, args.d)
     table = semdata.simulate(dag, weights, spec, args.n, seed=args.seed)
 
     out = _out_dir(args)
@@ -264,6 +274,7 @@ def cmd_generate(args) -> int:
             raise UsageError(
                 f"preprocessor covers {len(pre.names)} columns but model has {g.d}"
             )
+    _check_table_size(args.n, g.d)
 
     table = _synthesize(g, args.n, args.seed, pre)
     out = _out_dir(args)
@@ -335,6 +346,7 @@ def cmd_benchmark(args) -> int:
         raise UsageError(f"--repeats must be >= 1, got {args.repeats}")
     if args.d < 2:
         raise UsageError(f"--d must be >= 2 (the two-way TVD needs two columns), got {args.d}")
+    _check_table_size(args.n, args.d)
     base = _train_config(_settings(args, refused=BENCHMARK_SETS + (field_name,)))
     rows = []
     for rep in range(args.repeats):
@@ -484,6 +496,9 @@ def main(argv=None) -> int:
         return run(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except (IngestionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

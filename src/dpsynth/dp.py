@@ -98,8 +98,6 @@ def privatize(grads, cfg: DpConfig, rng: np.random.Generator) -> np.ndarray:
     clipped mean (summed in row order, so it is deterministic bit for bit).
     """
     grads = np.asarray(grads, dtype=np.float64)
-    if grads.ndim == 1:
-        grads = grads[None, :]
     if grads.ndim != 2 or grads.shape[0] == 0:
         raise UsageError(f"need a non-empty batch of gradient rows, got shape {grads.shape}")
     B = grads.shape[0]
@@ -140,13 +138,15 @@ def rdp_subsampled_gaussian(q: float, sigma: float, alpha: int) -> float:
     alpha = int(alpha)
     if q == 0.0:
         return 0.0
-    if sigma == 0.0:
+    two_var = 2.0 * sigma**2
+    if two_var == 0.0:  # no noise, or so little that sigma**2 underflows
         return math.inf
     if q == 1.0:
-        return alpha / (2.0 * sigma**2)
-    two_var = 2.0 * sigma**2
+        return alpha / two_var
     terms = [t + (k * k - k) / two_var for k, t in enumerate(_sigma_free_terms(q, alpha))]
     peak = max(terms)
+    if peak == math.inf:  # a term overflows: the bound is past every float
+        return math.inf
     total = peak + math.log(sum(math.exp(t - peak) for t in terms))
     return max(0.0, total / (alpha - 1))
 

@@ -136,8 +136,6 @@ def fit_grid(reference, bins: int = DEFAULT_BINS) -> BinGrid:
 def bin_indices(grid: BinGrid, X) -> np.ndarray:
     """Bin index per cell; values outside the range land in the edge bins."""
     X = _values(X)
-    if X.ndim == 1:
-        X = X[:, None]
     if X.shape[1] != grid.d:
         raise UsageError(f"grid covers {grid.d} columns, table has {X.shape[1]}")
     width = (grid.hi - grid.lo) / grid.bins
@@ -661,12 +659,11 @@ def metric_report(
     synthetic: Table,
     test: Table,
     bins: int = DEFAULT_BINS,
-    bandwidth: float | None = None,
     target: str | None = None,
 ) -> MetricReport:
-    """All metrics of the synthetic table against the held-out table, with
-    the wall time of each in ``timings`` (the bandwidth's only when it is
-    computed here, ``downstream.ridge`` with a target). The two-way TVD
+    """All metrics of the synthetic table against the held-out table, MMD at
+    the median-heuristic bandwidth, with the wall time of each in
+    ``timings`` (``downstream.ridge`` only with a target). The two-way TVD
     needs two columns; with one it is NaN here and null in ``to_dict``."""
     timings = {}
 
@@ -680,19 +677,17 @@ def metric_report(
     mean2, sum2 = (
         timed("tvd_2way", tvd_2way, synthetic, test, grid) if test.d >= 2 else (math.nan, math.nan)
     )
-    used_bandwidth = (
-        bandwidth if bandwidth is not None else timed("bandwidth", median_bandwidth, synthetic, test)
-    )
+    bandwidth = timed("bandwidth", median_bandwidth, synthetic, test)
     report = MetricReport(
         wd=timed("wd", wd_table, synthetic, test),
         tvd_2way=mean2,
         tvd_2way_sum=sum2,
         tvd_1way=timed("tvd_1way", tvd_1way, synthetic, test, grid),
-        mmd=timed("mmd", mmd, synthetic, test, used_bandwidth),
+        mmd=timed("mmd", mmd, synthetic, test, bandwidth),
         js=timed("js", js_divergence, synthetic, test, grid),
         meta={
             "bins": bins,
-            "bandwidth": used_bandwidth,
+            "bandwidth": bandwidth,
             "n_synthetic": synthetic.n,
             "n_test": test.n,
             "tvd_headline": "mean over pairs",

@@ -380,11 +380,10 @@ def disc_loss_grads_batch(f: Discriminator, X_real: np.ndarray, fakes: np.ndarra
     from ``sample_batch``; the caller draws them, so one sampling pass can
     serve several steps.
 
-    ``out`` is an optional (2, cap, P) float64 scratch buffer, read as 2·cap
-    rows of P. When cap >= B the stacked pass fills its first 2B rows, the
-    sum lands in ``out[0, :B]``, and ``grads`` is that view: it is valid
-    until the next call on the same buffer. A missing or smaller buffer is
-    replaced by a fresh one (and a non-contiguous one by its reshaped copy).
+    ``out`` is an optional (rows, P) float64 scratch block. When rows >= 2B
+    the stacked pass fills its first 2B rows, the sum lands in ``out[:B]``,
+    and ``grads`` is that view: it is valid until the next call on the same
+    block. A missing or smaller block is replaced by a fresh one.
     """
     X_real = np.asarray(X_real, dtype=np.float64)
     fakes = np.asarray(fakes, dtype=np.float64)
@@ -392,9 +391,9 @@ def disc_loss_grads_batch(f: Discriminator, X_real: np.ndarray, fakes: np.ndarra
         raise ShapeError(f"real batch {X_real.shape} and fake batch {fakes.shape} must pair up")
     B = len(fakes)
     values, caches = disc_forward_batch(f, np.concatenate((fakes, X_real)))
-    if out is None or out.shape[1] < B:
-        out = np.empty((2, B, f.nu.size))
-    rows = out.reshape(2 * out.shape[1], -1)[: 2 * B]
+    if out is None or len(out) < 2 * B:
+        out = np.empty((2 * B, f.nu.size))
+    rows = out[: 2 * B]
     delta = np.ones((2 * B, 1))
     delta[B:] = -1.0
     # the critic's input gradient is not needed, so the pass does not compute it

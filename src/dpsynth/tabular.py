@@ -9,17 +9,17 @@ number to the same float64 as ``float`` and holds little more than the
 table's array. A file it refuses, or that parses to a wrong width or to a
 non-finite cell, is read again by the strict reader: one ``map(float, ...)``
 a record, its finiteness tested with one sum, cells walked one by one only
-to report a bad row, the parsed cells moved into float64 arrays
-``_READ_BLOCK_CELLS`` at a time. That reader alone names the line and column
-of a bad cell and reads the spellings ``float`` accepts and numpy does not
-(``1_0``, non-ASCII digits), so a file reads the same either way. Files
-are read as UTF-8, a leading byte-order mark dropped, and written as UTF-8;
-bytes that are not UTF-8, and a cell longer than ``csv.field_size_limit()``
-(131,072 characters), raise ``IngestionError`` with their line. A file with
-a line longer than that limit goes to the strict reader unparsed, so that a
-long cell is refused whichever way the file is read; a row wider than about
-6,000 columns of ``write_csv``'s numbers takes that path too and reads to
-the same values, only more slowly.
+to report a bad row, and the parsed cells fed to one ``np.fromiter``, which
+holds little more than the table's array. That reader alone names the line
+and column of a bad cell and reads the spellings ``float`` accepts and numpy
+does not (``1_0``, non-ASCII digits), so a file reads the same either way.
+Files are read as UTF-8, a leading byte-order mark dropped, and written as
+UTF-8; bytes that are not UTF-8, and a cell longer than
+``csv.field_size_limit()`` (131,072 characters), raise ``IngestionError``
+with their line. A file with a line longer than that limit goes to the
+strict reader unparsed, so that a long cell is refused whichever way the
+file is read; a row wider than about 6,000 columns of ``write_csv``'s
+numbers takes that path too and reads to the same values, only more slowly.
 
 ``write_csv`` formats blocks of whole rows, ``_WRITE_BLOCK_CELLS`` cells at
 most, with one ``repr`` pass each, producing the bytes ``csv.writer`` would;
@@ -81,12 +81,6 @@ class Table:
             return self.names.index(name)
         except ValueError:
             raise UsageError(f"no column named {name!r}") from None
-
-
-# Cells per parsed block in the strict reader. Parsed floats wait as Python
-# objects (about 32 bytes a cell) only until their block fills and moves into
-# a float64 array, so that reader holds about twice the table's array at most.
-_READ_BLOCK_CELLS = 2560
 
 
 def read_csv(path) -> Table:
@@ -170,42 +164,34 @@ def _needs_strict_reader(path) -> bool:
 
 def _read_rows_strictly(path, fh, names) -> np.ndarray:
     """Read the data rows one record at a time, naming the line and column
-    of the first cell that is not a finite number."""
-    blocks, cells = [], []
-    block_cells = max(1, _READ_BLOCK_CELLS // max(len(names), 1)) * len(names)
-    for lineno, record in enumerate(_records(path, fh), start=2):
-        if not record:
-            continue
-        if len(record) != len(names):
-            raise IngestionError(
-                f"{path}: line {lineno} has {len(record)} cells, expected {len(names)}"
-            )
-        try:
-            parsed = list(map(float, record))
-        except ValueError:
-            parsed = None
-        # a sum of finite cells can still overflow; the walk then passes the row
-        if parsed is None or not math.isfinite(sum(parsed)):
-            _raise_first_bad_cell(path, lineno, names, record)
-        cells += parsed
-        if len(cells) == block_cells:
-            blocks.append(np.array(cells, dtype=np.float64))
-            cells.clear()
-    if cells:
-        blocks.append(np.array(cells, dtype=np.float64))
-    if not blocks:
-        raise IngestionError(f"{path}: no data rows")
-    return np.concatenate(blocks).reshape(-1, len(names))
-
-
-def _records(path, fh):
-    """The CSV records of ``fh``; a cell longer than
+    of the first cell that is not a finite number; a cell longer than
     ``csv.field_size_limit()`` raises ``IngestionError`` with its line."""
     reader = csv.reader(fh)
-    try:
-        yield from reader
-    except csv.Error as err:
-        raise IngestionError(f"{path}: line {reader.line_num + 1}: {err}") from None
+
+    def cells():
+        try:
+            for lineno, record in enumerate(reader, start=2):
+                if not record:
+                    continue
+                if len(record) != len(names):
+                    raise IngestionError(
+                        f"{path}: line {lineno} has {len(record)} cells, expected {len(names)}"
+                    )
+                try:
+                    parsed = list(map(float, record))
+                except ValueError:
+                    parsed = None
+                # a sum of finite cells can still overflow; the walk then passes the row
+                if parsed is None or not math.isfinite(sum(parsed)):
+                    _raise_first_bad_cell(path, lineno, names, record)
+                yield from parsed
+        except csv.Error as err:
+            raise IngestionError(f"{path}: line {reader.line_num + 1}: {err}") from None
+
+    values = np.fromiter(cells(), dtype=np.float64)
+    if values.size == 0:
+        raise IngestionError(f"{path}: no data rows")
+    return values.reshape(-1, len(names))
 
 
 def _raise_first_bad_cell(path, lineno, names, record) -> None:

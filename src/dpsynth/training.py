@@ -147,20 +147,19 @@ def _run_phase(
     multiple of t_g closes with a generator step on the noise's tail rows.
     Every critic step runs its fakes and real rows through the critic as one
     stacked batch, and the 2B per-example gradients of that pass go into one
-    (2, cap, P) buffer, read as 2·cap rows and grown only when a window's
-    largest batch exceeds cap.
+    (2·cap, P) block, grown only when a window's largest batch exceeds cap.
     """
     _, rng_batch, rng_z, rng_noise = rngs
     gen_updates = 0
-    buf = np.empty((2, 0, f.nu.size))
+    buf = np.empty((0, f.nu.size))
     for start in range(0, cfg.steps, cfg.t_g):
         stop = min(start + cfg.t_g, cfg.steps)
         batches = [poisson_batch(data.n, q, rng_batch) for _ in range(start, stop)]
         ends = np.cumsum([idx.size for idx in batches])
         n_fake = int(ends[-1])
         largest = max(idx.size for idx in batches)
-        if largest > buf.shape[1]:
-            buf = np.empty((2, largest, f.nu.size))
+        if 2 * largest > len(buf):
+            buf = np.empty((2 * largest, f.nu.size))
         gen_step = stop % cfg.t_g == 0
         Z = rng_z.standard_normal((n_fake + cfg.batch * gen_step, data.d))
         fakes = models.sample_batch(g, Z[:n_fake]) if n_fake else None

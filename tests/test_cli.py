@@ -496,6 +496,12 @@ def test_account_forward_matches_library(tmp_path, capsys):
     assert got["best_order"] == want["best_order"]
 
 
+def test_account_reports_no_epsilon_for_a_vanishing_sigma(capsys):
+    assert run_cli("account", "--n", 100, "--batch", 10, "--steps", 10, "--sigma", 1e-155) == 0
+    got = json.loads(capsys.readouterr().out)
+    assert got["epsilon"] is None and got["best_order"] is None and not got["non_private"]
+
+
 def test_account_calibration_and_out_file(tmp_path, capsys):
     out = tmp_path / "acct"
     rc = run_cli("account", "--n", 12384, "--batch", 50, "--steps", 7000,
@@ -741,3 +747,53 @@ def test_each_setting_resolves_alike_from_flag_and_config_file(tmp_path):
             assert cli._record(cfgs[0]) == cli._record(cfgs[1]), (command, key)
             if key != "epsilon":  # epsilon is calibrated into sigma before it is recorded
                 assert cli._record(cfgs[0])[key] == value, (command, key)
+
+
+def test_simulate_sf_gives_each_node_its_attachments(tmp_path):
+    out = tmp_path / "sf"
+    assert run_cli("simulate", "--d", 6, "--n", 50, "--graph", "sf", "--attach", 2,
+                   "--seed", 3, "--out", out) == 0
+    dag = semdata.load_dag(out / "dag.json")
+    assert [len(pa) for pa in dag.parents] == [min(2, j) for j in range(6)]
+    assert tabular.read_csv(out / "data.csv").values.shape == (50, 6)
+
+
+def test_train_config_missing_or_not_an_object_creates_no_out(tmp_path):
+    sim = simulate(tmp_path)
+    listed = tmp_path / "list.json"
+    listed.write_text(json.dumps([["steps", 5]]))
+    for config, code in ((tmp_path / "missing.json", 3), (listed, 2)):
+        out = tmp_path / f"out-{code}"
+        assert run_cli("train", "--data", sim / "data.csv", "--config", config, "--out", out) == code
+        assert not out.exists()
+
+
+def test_generate_zero_rows_creates_no_out(tmp_path):
+    run = train(tmp_path, simulate(tmp_path))
+    out = tmp_path / "gen"
+    assert run_cli("generate", "--model", run / "checkpoint.json", "--n", 0, "--out", out) == 2
+    assert not out.exists()
+
+
+def test_benchmark_grid_of_only_commas_creates_no_out(tmp_path):
+    out = tmp_path / "bench"
+    assert run_cli("benchmark", "--sweep", "lambda", "--grid", ",", "--out", out) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n", [10**15, 10**18])
+def test_tables_past_the_address_space_exit_2_and_create_no_out(tmp_path, capsys, n):
+    # 10^15 x 3 numbers (21.3 PiB) fail numpy's allocation, 10^18 x 3 the
+    # up-front size check; both lie past a 47-bit address space, so nothing
+    # is allocated
+    run = train(tmp_path, simulate(tmp_path, d=3))
+    capsys.readouterr()
+    cases = {
+        "big-gen": ("generate", "--model", run / "checkpoint.json", "--n", n),
+        "big-sim": ("simulate", "--d", 3, "--n", n),
+    }
+    for name, argv in cases.items():
+        out = tmp_path / name
+        assert run_cli(*argv, "--out", out) == 2, name
+        assert not out.exists(), name
+        assert capsys.readouterr().err.startswith("error: "), name

@@ -144,6 +144,16 @@ def test_rdp_limits_and_monotonicity():
     assert dp.rdp_subsampled_gaussian(0.01, 0.0, 16) == math.inf
 
 
+@pytest.mark.parametrize("q", [0.1, 1.0])
+@pytest.mark.parametrize("sigma", [1e-155, 1e-200])
+def test_rdp_is_infinite_once_two_sigma_squared_underflows(q, sigma):
+    # 2 sigma^2 is subnormal at 1e-155 and 0.0 at 1e-200: no finite bound, and
+    # neither inf - inf (read as 0.0 before) nor a division by zero
+    assert all(dp.rdp_subsampled_gaussian(q, sigma, a) == math.inf for a in dp.DEFAULT_ORDERS)
+    assert dp.epsilon_for(q, sigma, 10, 1e-5) == math.inf
+    assert dp.eps_and_order(dp.rdp(q, sigma, 10), 1e-5) == (math.inf, None)
+
+
 def test_ledger_composition_is_additive():
     split = dp.rdp(0.02, 1.3, 3) + dp.rdp(0.02, 1.3, 4)
     whole = dp.rdp(0.02, 1.3, 7)

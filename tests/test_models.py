@@ -312,13 +312,13 @@ def test_disc_grads_reuse_one_buffer_bit_for_bit():
     f = models.new_discriminator(5, 0.5, rng)
     X = rng.standard_normal((12, 5))
     fakes = models.sample_batch(g, rng.standard_normal((12, 5)))
-    buf = np.full((2, 8, f.nu.size), np.nan)
-    for B in (7, 3, 12):  # 12 is past the buffer's capacity of 8
+    buf = np.full((16, f.nu.size), np.nan)
+    for B in (7, 3, 8, 12):  # 2 x 12 rows are past the block's 16
         fresh = models.disc_loss_grads_batch(f, X[:B], fakes[:B])
         got = models.disc_loss_grads_batch(f, X[:B], fakes[:B], out=buf)
         for a, b in zip(got, fresh):
             np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
-        assert np.shares_memory(got[0], buf) == (B <= 8)
+        assert np.shares_memory(got[0], buf) == (2 * B <= len(buf))
 
 
 @pytest.mark.parametrize("d", [1, 2, 5, 10, 30])
@@ -351,7 +351,7 @@ def test_disc_grads_take_one_forward_and_one_backward(monkeypatch):
         monkeypatch.setattr(nn, name, counted)
     rng = np.random.default_rng(46)
     f = models.new_discriminator(4, 0.5, rng)
-    buf = np.empty((2, 9, f.nu.size))
+    buf = np.empty((18, f.nu.size))
     for B in (1, 9, 12):
         before = dict(calls)
         models.disc_loss_grads_batch(f, rng.standard_normal((B, 4)), rng.standard_normal((B, 4)), out=buf)

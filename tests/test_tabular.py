@@ -562,3 +562,19 @@ def test_preprocessor_json_round_trip(tmp_path):
     with pytest.raises(UsageError):
         tabular.Preprocessor(("a",), np.array([0.0]), np.array([0.0]))
 
+
+def test_strict_reader_peaks_near_the_tables_array(tmp_path, monkeypatch):
+    # the reader that refused and unusual files reach holds little more than
+    # the array too
+    vals = np.random.default_rng(8).standard_normal((100_000, 10))
+    p = tmp_path / "big.csv"
+    tabular.write_csv(tabular.Table(tuple(f"x{j}" for j in range(10)), vals), p)
+    monkeypatch.setattr(tabular, "_parse_rows", lambda path, fh, d: None)
+    tracemalloc.start()
+    try:
+        back = tabular.read_csv(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(back.values, vals)
+    assert peak <= 1.25 * vals.nbytes + 1_000_000
