@@ -138,7 +138,10 @@ def rdp_subsampled_gaussian(q: float, sigma: float, alpha: int) -> float:
     alpha = int(alpha)
     if q == 0.0:
         return 0.0
-    two_var = 2.0 * sigma**2
+    try:
+        two_var = 2.0 * sigma**2
+    except OverflowError:  # sigma**2 past every float: rho's limit is 0
+        return 0.0
     if two_var == 0.0:  # no noise, or so little that sigma**2 underflows
         return math.inf
     if q == 1.0:

@@ -160,6 +160,15 @@ def dense_median_bandwidth(A, B):
     return float(np.median(np.sqrt(sq)))
 
 
+def stride_median_bandwidth(A, B, rows=1000):
+    # the median bandwidth's definition: the dense median over the pooled
+    # rows at np.linspace(0, N - 1, rows) rounded, all of them up to rows
+    pool = np.vstack([np.asarray(A, float), np.asarray(B, float)])
+    if pool.shape[0] > rows:
+        pool = pool[np.round(np.linspace(0, pool.shape[0] - 1, rows)).astype(int)]
+    return dense_median_bandwidth(pool, pool[:0])
+
+
 def dense_mmd(A, B, h):
     A, B = np.asarray(A, float), np.asarray(B, float)
     n, m = A.shape[0], B.shape[0]

@@ -502,6 +502,15 @@ def test_account_reports_no_epsilon_for_a_vanishing_sigma(capsys):
     assert got["epsilon"] is None and got["best_order"] is None and not got["non_private"]
 
 
+def test_account_prices_an_overflowing_sigma(capsys):
+    # sigma**2 overflows at 1e200: every order's RDP is 0, so epsilon is
+    # log(1/delta) / (alpha - 1) at the largest order
+    assert run_cli("account", "--n", 100, "--batch", 10, "--steps", 10, "--sigma", 1e200) == 0
+    got = json.loads(capsys.readouterr().out)
+    assert got["epsilon"] == dp.account_report(100, 10, 1e200, 10, 1e-5)["epsilon"]
+    assert got["best_order"] == max(dp.DEFAULT_ORDERS)
+
+
 def test_account_calibration_and_out_file(tmp_path, capsys):
     out = tmp_path / "acct"
     rc = run_cli("account", "--n", 12384, "--batch", 50, "--steps", 7000,

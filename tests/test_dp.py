@@ -154,6 +154,14 @@ def test_rdp_is_infinite_once_two_sigma_squared_underflows(q, sigma):
     assert dp.eps_and_order(dp.rdp(q, sigma, 10), 1e-5) == (math.inf, None)
 
 
+@pytest.mark.parametrize("q", [0.1, 1.0])
+def test_rdp_is_zero_once_sigma_squared_overflows(q):
+    # sigma**2 overflows above about 1.3e154; the bound's limit as sigma
+    # grows is 0 at any q, and the (epsilon, delta) figure stays finite
+    assert all(dp.rdp_subsampled_gaussian(q, 1e200, a) == 0.0 for a in dp.DEFAULT_ORDERS)
+    assert dp.epsilon_for(q, 1e200, 10, 1e-5) == dp.eps_and_order(dp.rdp(q, 1e200, 10), 1e-5)[0] < math.inf
+
+
 def test_ledger_composition_is_additive():
     split = dp.rdp(0.02, 1.3, 3) + dp.rdp(0.02, 1.3, 4)
     whole = dp.rdp(0.02, 1.3, 7)

@@ -182,6 +182,15 @@ def test_all_metrics_match_naive_oracles():
 _GATHER_MAXES = [None, 1, 100, 500, 1 << 14]
 
 
+def _full_pool_median(A, B):
+    """The median distance over every pair of the pooled rows, by the
+    selector ``median_bandwidth`` runs on at most _BANDWIDTH_ROWS of them."""
+    pool = np.vstack([A, B])
+    pairs = pool.shape[0] * (pool.shape[0] - 1) // 2
+    lo, hi = metrics._pair_order_statistics(pool, ((pairs - 1) // 2, pairs // 2))
+    return (math.sqrt(lo) + math.sqrt(hi)) / 2.0
+
+
 def _pool_tiles(A, B):
     pool = np.vstack([A, B])
     return list(metrics._gram_tiles(pool, pool, upper=True, centre=pool.mean(axis=0)))
@@ -200,10 +209,14 @@ def test_tiled_median_and_mmd_match_dense_formulas(n_a, d, small, monkeypatch):
     pairs = (n_a + 300) * (n_a + 299) // 2
     assert pairs % 2 == (n_a == 702)  # both parities of the pair count
     assert len(_pool_tiles(A, B)) >= 2
-    h = metrics.median_bandwidth(A, B)
+    # the bandwidth takes a stride of the 1,002-row pool; the selector it
+    # runs is checked on every pair of both pools
+    h = _full_pool_median(A, B)
     assert h == nm.dense_median_bandwidth(A, B)
     assert abs(metrics.mmd(A, B, h) - nm.dense_mmd(A, B, h)) <= 1e-12
-    assert abs(metrics.mmd(A, B) - nm.dense_mmd(A, B, h)) <= 1e-12
+    auto = metrics.median_bandwidth(A, B)
+    assert auto == nm.stride_median_bandwidth(A, B)
+    assert abs(metrics.mmd(A, B) - nm.dense_mmd(A, B, auto)) <= 1e-12
 
 
 # _pair_sq_dists sums slabs of at most _TILE_FLOATS pair differences along
@@ -478,7 +491,7 @@ def test_median_takes_one_walk_above_and_at_most_gather_max():
         assert (pool_pairs > metrics._GATHER_MAX) == (rows == 2000)
         with pytest.MonkeyPatch.context() as mp:
             walks = _count_walks(mp)
-            assert metrics.median_bandwidth(A, B) > 0.0
+            assert _full_pool_median(A, B) > 0.0
         assert walks == [True]
 
 
@@ -487,12 +500,44 @@ def test_bracket_median_peak_memory():
     A, B = rng.standard_normal((2000, 10)), rng.standard_normal((2000, 10)) * 1.2 + 0.1
     tracemalloc.start()
     try:
-        metrics.median_bandwidth(A, B)
+        _full_pool_median(A, B)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     # the first window's keys (about 125,000, 1 MB) and one tile; all 8M keys would take 64 MB
     assert peak < 4.0e6
+
+
+# Above _BANDWIDTH_ROWS pooled rows the bandwidth is the median over the rows
+# at a fixed stride. The stride's own pair count is even at the default
+# 1,000 rows (499,500) and odd at 999 (498,501); the pools', with unequal
+# samples, are even at 1,001 and 3,800 rows and odd at 1,002.
+@pytest.mark.parametrize("cap", [None, 999], ids=["default", "999"])
+@pytest.mark.parametrize("n_a, n_b", [(700, 301), (702, 300), (2500, 1300)])
+def test_bandwidth_is_the_dense_median_over_the_stride_rows(n_a, n_b, cap, monkeypatch):
+    if cap is not None:
+        monkeypatch.setattr(metrics, "_BANDWIDTH_ROWS", cap)
+    walks = _count_walks(monkeypatch)
+    rng = np.random.default_rng(n_a + n_b)
+    A, B = rng.standard_normal((n_a, 10)), 1.3 * rng.standard_normal((n_b, 10)) + 0.2
+    h = metrics.median_bandwidth(A, B)
+    assert h == nm.stride_median_bandwidth(A, B, metrics._BANDWIDTH_ROWS)
+    assert metrics._BANDWIDTH_ROWS == (cap or 1000)
+    assert walks == [True]  # one walk over the stride rows' pairs
+
+
+def test_bandwidth_refuses_a_non_finite_row_the_stride_skips():
+    rng = np.random.default_rng(26)
+    A, B = rng.standard_normal((900, 4)), rng.standard_normal((600, 4))
+    stride = np.round(np.linspace(0, 1499, metrics._BANDWIDTH_ROWS)).astype(int)
+    skipped = np.setdiff1d(np.arange(1500), stride)
+    assert np.unique(stride).size == stride.size and skipped[0] < 900 <= skipped[-1]
+    for row in (skipped[0], skipped[-1]):  # one row of A, one of B
+        pool = np.vstack([A, B])
+        pool[row, 2] = math.nan
+        for call in (metrics.median_bandwidth, metrics.mmd):
+            with pytest.raises(MetricError):
+                call(pool[:900], pool[900:])
 
 
 # Gram tiles (|x|^2 + |y|^2 - 2 x.y) lose digits to cancellation. The median's
