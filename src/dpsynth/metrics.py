@@ -4,20 +4,21 @@ Binned metrics share one equal-width grid fitted on the reference (test)
 table with 0.5% padding per side; out-of-range values are clamped into the
 edge bins. The two-way total-variation headline number is the mean over
 column pairs (the summed variant is reported alongside, since it grows with
-the pair count). Jensen-Shannon is summed over columns in natural log.
+the pair count). Jensen-Shannon is summed over columns in natural log. Every
+metric refuses a table with a NaN or infinite cell.
 
-The pairwise metrics (the median-heuristic bandwidth and MMD) need finite
-rows and never build the (n, m, d) difference tensor, so memory stays
-bounded at any row count. One walker, ``_gram_tiles``, builds the squared
-distances in 256 x 256 tiles (one reused 512 KB buffer) as
-|x|^2 + |y|^2 - 2 x.y, on rows centred at the pool's mean, with one BLAS
-product per tile and nothing else: the squared norms ride in the operands,
-[x, |x|^2, 1] against [-2 y, 1, |y|^2]. It bounds each tile's error
-against the dense formula; one exact formula, ``_pair_sq_dists``,
-recomputes a pair bit for bit as the dense tensor gives it. In a tile
-where gamma times the bound is not below _KERNEL_TOL, MMD recomputes each
-pair whose own bound (from its two rows' norms) is not below it either, so
-it stays within 4e-13 of the dense formula.
+The pairwise metrics (the median-heuristic bandwidth and MMD) never build
+the (n, m, d) difference tensor, so memory stays bounded at any row count.
+One walker, ``_gram_tiles``, builds the squared distances in 256 x 256
+tiles (one reused 512 KB buffer) as |x|^2 + |y|^2 - 2 x.y, on rows centred
+at the pool's mean, with one BLAS product per tile and nothing else: the
+squared norms ride in the operands, [x, |x|^2, 1] against
+[-2 y, 1, |y|^2]. It bounds each tile's error against the dense formula;
+one exact formula, ``_pair_sq_dists``, recomputes a pair bit for bit as the
+dense tensor gives it. In a tile where gamma times the bound is not below
+_KERNEL_TOL, MMD recomputes each pair whose own bound (from its two rows'
+norms) is not below it either, so it stays within 4e-13 of the dense
+formula.
 
 The median-heuristic bandwidth is the median distance over the pairs of at
 most _BANDWIDTH_ROWS pooled rows: the whole pool up to that size, above it
@@ -25,14 +26,12 @@ the rows at a fixed stride (``np.linspace`` indices, rounded), so no random
 number is drawn; it is commonly taken on a subsample (Gretton et al., JMLR
 2012). Finiteness is checked over the whole pool, and MMD sums every pair.
 The median is an exact selection, bit-identical to ``np.median`` of those
-pairwise distances. Each Gram walk counts exactly the squared distances
-below and inside a window: a pair whose Gram value lies more than its
-tile's error bound outside the window is counted or passed over, and the
-rest are recomputed and kept, or sampled past _GATHER_MAX. The first window
-is read off the distances of about (2 pairs)^(2/3) random pairs, at most
-2^16; one that holds both middle ranks in at most _GATHER_MAX keys answers
-in one walk, and any other is narrowed from its sample or moved by its
-exact counts.
+pairwise distances. One Gram walk counts exactly the squared distances
+below a window and keeps those inside it: a pair whose Gram value lies more
+than its tile's error bound outside the window is counted or passed over,
+and the rest are recomputed. The window is read off the distances of about
+(2 pairs)^(2/3) random pairs, at most 2^16; should it miss a middle rank, a
+second walk keeps it stretched to 0 or infinity on the side of the miss.
 """
 
 from __future__ import annotations
@@ -56,6 +55,11 @@ def _values(x) -> np.ndarray:
     return np.asarray(v, dtype=np.float64)
 
 
+def _require_finite(*tables) -> None:
+    if not all(np.isfinite(T).all() for T in tables):
+        raise MetricError("the metrics need finite rows: a NaN or infinity has no bin and no rank")
+
+
 def _matrix_pair(a, b):
     A, B = _values(a), _values(b)
     if A.ndim != 2 or B.ndim != 2:
@@ -66,6 +70,7 @@ def _matrix_pair(a, b):
         raise UsageError(f"column names differ: {a.names} vs {b.names}")
     if A.shape[0] == 0 or B.shape[0] == 0:
         raise UsageError("empty table")
+    _require_finite(A, B)
     return A, B
 
 
@@ -115,6 +120,8 @@ class BinGrid:
         self.hi = np.asarray(self.hi, dtype=np.float64)
         if self.lo.shape != self.hi.shape or self.lo.ndim != 1:
             raise ShapeError("lo/hi must be matching 1-D arrays")
+        if not (np.isfinite(self.lo).all() and np.isfinite(self.hi).all()):
+            raise UsageError("bin edges must be finite")
         if np.any(self.hi <= self.lo):
             raise UsageError("each hi must exceed its lo")
         if self.bins < 2:
@@ -131,6 +138,7 @@ def fit_grid(reference, bins: int = DEFAULT_BINS) -> BinGrid:
     R = _values(reference)
     if R.ndim != 2 or R.shape[0] == 0:
         raise UsageError("reference must be a non-empty 2-D table")
+    _require_finite(R)
     lo = R.min(axis=0)
     hi = R.max(axis=0)
     span = hi - lo
@@ -144,8 +152,9 @@ def bin_indices(grid: BinGrid, X) -> np.ndarray:
     if X.shape[1] != grid.d:
         raise UsageError(f"grid covers {grid.d} columns, table has {X.shape[1]}")
     width = (grid.hi - grid.lo) / grid.bins
-    idx = np.floor((X - grid.lo) / width).astype(np.intp)
-    return np.clip(idx, 0, grid.bins - 1)
+    # clamped first, so that a value far out of range cannot overflow into bin 0
+    idx = np.floor((np.clip(X, grid.lo, grid.hi) - grid.lo) / width).astype(np.intp)
+    return np.minimum(idx, grid.bins - 1)
 
 
 def _hist_1d(idx_col: np.ndarray, bins: int) -> np.ndarray:
@@ -228,18 +237,14 @@ _TILE_FLOATS = 1 << 17
 # product is 3e-14 to 1.5e-13, 0 to 9 of 136 tiles hold a pair past it, and
 # 0 to 43 of the 8.0M pairs are recomputed; 1e-14 would recompute more.
 _KERNEL_TOL = 1e-13
-# A selection walk keeps the keys inside its window, a sample past _GATHER_MAX.
-_GATHER_MAX = 1 << 20
-# Above _SAMPLE_PAIRS pairs, the first window is read off the squared
-# distances of _bracket_size(pairs) random row pairs (fixed seed). A
-# window's ends sit _BRACKET_SDS binomial standard deviations beyond the
-# sample positions of its ranks, so a sample of s pairs leaves about
-# 2 _BRACKET_SDS sqrt(p (1 - p) / s) pairs = 4 pairs / sqrt(s) keys in the
-# window at the median (p = 1/2). The first walk recomputes the sample and
-# about the window's keys, s + 4 pairs / sqrt(s), least at
-# s = (2 pairs)^(2/3) (Floyd and Rivest's N^(2/3), CACM 1975): 63,485 at
-# 2,000 + 2,000 rows, 9,993 at 500 + 500, where 2^16 took about three
-# quarters of the median's time. _SAMPLE_PAIRS caps it.
+# Above _SAMPLE_PAIRS pairs, the median's window is read off the squared
+# distances of _bracket_size(pairs) random row pairs (fixed seed). Its ends
+# sit _BRACKET_SDS binomial standard deviations beyond the sample positions
+# of the middle ranks, so a sample of s pairs leaves about
+# 2 _BRACKET_SDS sqrt(p (1 - p) / s) pairs = 4 pairs / sqrt(s) keys in it
+# (p = 1/2). The walk recomputes the sample and about those keys, fewest at
+# s = (2 pairs)^(2/3) (Floyd and Rivest's N^(2/3), CACM 1975): 9,993 pairs
+# at 1,000 rows, where 2^16 took about three quarters of the median's time.
 _SAMPLE_PAIRS = 1 << 16
 _BRACKET_SDS = 4.0
 # The bandwidth's median runs over the pairs of at most _BANDWIDTH_ROWS
@@ -394,23 +399,6 @@ def _sampled_sq_dists(X: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-def _window(sample: np.ndarray, ranks, count: int, lo: float, hi: float):
-    """A window within [lo, hi] likely to hold the keys at the given ranks
-    among the ``count`` keys in [lo, hi], read off ``sample``, a sorted
-    uniform sample of those keys. The sample keys below the rank-r key are
-    about binomial with p = r / count, so the ends sit _BRACKET_SDS standard
-    deviations beyond the sample positions of the lowest and the highest
-    rank; an end that falls off the sample stays at lo or hi."""
-    s = sample.size
-
-    def position(rank: int, side: int) -> float:
-        p = rank / count
-        return s * p + side * _BRACKET_SDS * math.sqrt(s * p * (1.0 - p))
-
-    a, b = math.floor(position(min(ranks), -1)), math.ceil(position(max(ranks) + 1, 1))
-    return (float(sample[a]) if 0 <= a < s else lo), (float(sample[b]) if b < s else hi)
-
-
 def _bracket_size(pairs: int) -> int:
     """How many random pairs the first window is read off: about
     (2 pairs)^(2/3), at most _SAMPLE_PAIRS."""
@@ -418,26 +406,32 @@ def _bracket_size(pairs: int) -> int:
 
 
 def _bracket(X: np.ndarray, ranks, pairs: int):
-    """The selection's first window: the whole key range at or below
-    _SAMPLE_PAIRS pairs, else one read off the sorted squared distances of
-    ``_bracket_size(pairs)`` random row pairs."""
+    """A window of squared distances likely to hold the keys at the two
+    ranks: all of them at or below _SAMPLE_PAIRS pairs, else one read off
+    the sorted distances of ``_bracket_size(pairs)`` random row pairs (the
+    sample keys below rank r are about binomial, p = r / pairs); an end that
+    falls off the sample stays at 0 or infinity."""
     if pairs <= _SAMPLE_PAIRS:
         return 0.0, math.inf
-    return _window(np.sort(_sampled_sq_dists(X, _bracket_size(pairs))), ranks, pairs, 0.0, math.inf)
+    sample = np.sort(_sampled_sq_dists(X, _bracket_size(pairs)))
+    s = sample.size
+
+    def position(rank: int, side: int) -> float:
+        p = rank / pairs
+        return s * p + side * _BRACKET_SDS * math.sqrt(s * p * (1.0 - p))
+
+    a, b = math.floor(position(ranks[0], -1)), math.ceil(position(ranks[1] + 1, 1))
+    return (float(sample[a]) if 0 <= a < s else 0.0), (float(sample[b]) if b < s else math.inf)
 
 
-def _walk(X: np.ndarray, lo: float, hi: float, centre: np.ndarray, rng):
+def _walk(X: np.ndarray, lo: float, hi: float, centre: np.ndarray):
     """One Gram walk over the row pairs i < j of X for the window [lo, hi]
-    of squared distances: the exact numbers of distances below and inside
-    it, the exact least and most inside, and the distances inside (all up to
-    _GATHER_MAX, past that a Bernoulli sample, thinned by half whenever it
-    outgrows _GATHER_MAX). A pair whose Gram value lies more than its tile's
+    of squared distances: the exact number of distances below it and every
+    distance inside it. A pair whose Gram value lies more than its tile's
     err below lo is counted below, one more than err above hi is passed
     over, and the rest, every pair of a tile whose G is NaN or err infinite
     included, are recomputed by the dense per-pair formula."""
-    below = count = 0
-    least, most = math.inf, -math.inf
-    kept, size, rate = np.empty(_GRAM_TILE * _GRAM_TILE), 0, 1.0
+    below, size, kept = 0, 0, np.empty(0)
     for i0, j0, G, err, mask, _ in _gram_tiles(X, X, upper=True, centre=centre):
         # thresholds rounded outwards, so that G < lo - err implies a
         # distance below lo, and G > hi + err one above hi; NaN fails both
@@ -448,111 +442,51 @@ def _walk(X: np.ndarray, lo: float, hi: float, centre: np.ndarray, rng):
             near &= mask
         below += np.count_nonzero(under)
         i, j = np.divmod(np.flatnonzero(near), G.shape[1])
-        keys = _pair_sq_dists(X, X, i + i0, j + j0)
+        keys = _pair_sq_dists(X, X, np.add(i, i0, out=i), np.add(j, j0, out=j))
         below += np.count_nonzero(keys < lo)
         keys = keys[(keys >= lo) & (keys <= hi)]
-        if keys.size == 0:
-            continue
-        count += keys.size
-        least, most = min(least, keys.min()), max(most, keys.max())
-        if rate < 1.0:
-            keys = keys[rng.random(keys.size) < rate]
-        # kept grows and is thinned in place, so no key is ever held twice
+        # kept grows in place, so no key is ever held twice
         if size + keys.size > kept.size:
-            kept.resize(max(size + keys.size, min(2 * kept.size, _GATHER_MAX + G.size)), refcheck=False)
+            kept.resize(max(size + keys.size, 2 * kept.size), refcheck=False)
         kept[size : size + keys.size] = keys
         size += keys.size
-        while size > _GATHER_MAX:
-            end, size, rate = size, 0, rate / 2
-            for s in range(0, end, G.size):
-                part = kept[s : min(s + G.size, end)]
-                part = part[rng.random(part.size) < 0.5]
-                kept[size : size + part.size] = part
-                size += part.size
     kept.resize(size, refcheck=False)
-    return below, count, float(least), float(most), kept
+    return below, kept
 
 
-def _pair_order_statistics(X: np.ndarray, ranks) -> list:
-    """Exact values at the given 0-based ranks among the squared distances of
-    all row pairs i < j of X, in memory bounded by the tile and gather sizes.
-
-    Each rank's value lies in its hull, at first all keys. Each walk
-    (``_walk``; the first window is ``_bracket``'s) places every rank below,
-    inside or above its window by exact counts. A rank inside is read off at
-    either end of the window, in a window of one key value, or in one kept
-    whole (``np.partition``); else its hull becomes [least, most] and the
-    next window is read off the sample (``_window``), or, where that leaves
-    out no key of the hull, the hull is split at the sample key nearest the
-    rank. A rank outside keeps the part of its hull on its side, walked
-    whole next. The rows are finite, so every rank has a key, and a hull
-    loses a key at least every second walk: the loop ends."""
-    n = X.shape[0]
+def _middle_sq_dists(X: np.ndarray):
+    """The exact squared distances at the 0-based ranks (pairs - 1) // 2 and
+    pairs // 2 among those of all row pairs i < j of the finite rows X. One
+    walk counts the keys below ``_bracket``'s window and keeps those inside;
+    should a middle rank fall outside them, a second walk keeps the window
+    stretched to 0 or infinity on that side (every key, if a rank fell out
+    on each). The ranks are equal or adjacent: one partition reads both."""
+    pairs = X.shape[0] * (X.shape[0] - 1) // 2
+    ranks = ((pairs - 1) // 2, pairs // 2)
     centre = X.mean(axis=0)
-    rng = np.random.default_rng(0)
-    hull, found = dict.fromkeys(ranks, (0.0, math.inf)), {}
-    lo, hi = _bracket(X, ranks, n * (n - 1) // 2)
-    while True:
-        kept = None  # the last walk's keys are not held through the next
-        below, count, least, most, kept = _walk(X, lo, hi, centre, rng)
-        inside = {}
-        for r, (a, b) in list(hull.items()):
-            k = r - below
-            if k < 0:
-                hull[r] = (a, min(b, float(np.nextafter(lo, -math.inf))))
-            elif k >= count:
-                hull[r] = (max(a, float(np.nextafter(hi, math.inf))), b)
-            else:
-                del hull[r]
-                if k == 0 or least == most:
-                    found[r] = least
-                elif k == count - 1:
-                    found[r] = most
-                else:
-                    inside[r] = k
-        if inside and kept.size == count:  # kept whole
-            kept.partition(list(inside.values()))
-            found.update((r, float(kept[k])) for r, k in inside.items())
-        elif inside:
-            hull.update(dict.fromkeys(inside, (least, most)))
-            kept.sort()
-            lo, hi = _window(kept, inside.values(), count, least, most)
-            if lo <= least and hi >= most:
-                at = min(kept.size - 1, round(kept.size * min(inside.values()) / count))
-                split = float(kept[at]) if kept.size else least
-                lo, hi = least, min(split, float(np.nextafter(most, -math.inf)))
-            continue
-        if not hull:
-            return [found[r] for r in ranks]
-        lo, hi = hull[min(hull)]
-
-
-def _pooled(a, b):
-    """Both tables and their stacked rows, which must be finite: a NaN
-    distance has no rank."""
-    A, B = _matrix_pair(a, b)
-    pool = np.vstack([A, B])
-    if not np.isfinite(pool).all():
-        raise MetricError("the pairwise metrics need finite rows")
-    return A, B, pool
+    lo, hi = _bracket(X, ranks, pairs)
+    below, kept = _walk(X, lo, hi, centre)
+    low, high = ranks[0] < below, ranks[1] >= below + kept.size
+    if low or high:
+        kept = None  # the missed window's keys are not held through the next walk
+        below, kept = _walk(X, 0.0 if low else lo, math.inf if high else hi, centre)
+    k = ranks[1] - below
+    kept.partition(k)
+    return (float(kept[:k].max()) if ranks[0] < ranks[1] else float(kept[k])), float(kept[k])
 
 
 def median_bandwidth(a, b) -> float:
     """Median pairwise Euclidean distance over at most _BANDWIDTH_ROWS of the
     pooled rows: all N of them up to that size, else the rows at
     ``np.linspace(0, N - 1, _BANDWIDTH_ROWS)`` rounded, distinct at a fixed
-    stride. Every pooled row must be finite, the skipped ones too.
-
-    Exact over those rows' pairs, and bit-identical to ``np.median`` over
-    their distances, without holding them: the two middle squared distances
-    are selected tile by tile (``_pair_order_statistics``), in one walk over
-    the pairs when the first window holds both ranks, and the result is the
-    mean of their square roots, ``np.median``'s rule (sqrt is monotone)."""
-    _, _, pool = _pooled(a, b)
+    stride. Every pooled row must be finite, the skipped ones too. The mean
+    of the square roots of the two middle squared distances, selected tile
+    by tile (``_middle_sq_dists``), is ``np.median``'s value over those
+    rows' distances bit for bit (sqrt is monotone)."""
+    pool = np.vstack(_matrix_pair(a, b))
     if pool.shape[0] > _BANDWIDTH_ROWS:
         pool = pool[np.round(np.linspace(0, pool.shape[0] - 1, _BANDWIDTH_ROWS)).astype(np.intp)]
-    pairs = pool.shape[0] * (pool.shape[0] - 1) // 2
-    lo, hi = _pair_order_statistics(pool, ((pairs - 1) // 2, pairs // 2))
+    lo, hi = _middle_sq_dists(pool)
     h = (math.sqrt(lo) + math.sqrt(hi)) / 2.0
     if h == 0.0:
         raise MetricError("median pairwise distance is zero; bandwidth undefined")
@@ -572,7 +506,8 @@ def mmd(a, b, bandwidth: float | None = None) -> float:
     either is recomputed by the per-pair formula, so that every kernel value
     moves by less than _KERNEL_TOL and the result by less than
     4 * _KERNEL_TOL from the dense formula's."""
-    A, B, pool = _pooled(a, b)
+    A, B = _matrix_pair(a, b)
+    pool = np.vstack([A, B])
     n, m = A.shape[0], B.shape[0]
     if n < 2 or m < 2:
         raise UsageError("unbiased MMD needs at least two rows per sample")
@@ -680,7 +615,9 @@ def metric_report(
     """All metrics of the synthetic table against the held-out table, MMD at
     the median-heuristic bandwidth, with the wall time of each in
     ``timings`` (``downstream.ridge`` only with a target). The two-way TVD
-    needs two columns; with one it is NaN here and null in ``to_dict``."""
+    needs two columns; with one it is NaN here and null in ``to_dict``. Any
+    other value that is not finite (one overflowed on finite rows) raises
+    ``MetricError`` naming it."""
     timings = {}
 
     def timed(name, fn, *args):
@@ -710,6 +647,13 @@ def metric_report(
         },
         timings=timings,
     )
+    reported = {k: getattr(report, k) for k in ("wd", "tvd_1way", "mmd", "js")}
+    if test.d >= 2:
+        reported.update(tvd_2way=mean2, tvd_2way_sum=sum2)
     if target is not None:
         report.downstream.append(timed("downstream.ridge", downstream_efficacy, synthetic, test, target))
+        reported.update((f"downstream.ridge.{k}", report.downstream[0][k]) for k in ("r2", "rmse"))
+    for name, value in reported.items():
+        if not math.isfinite(value):
+            raise MetricError(f"{name} is {value}: it overflowed on these tables")
     return report

@@ -454,6 +454,28 @@ def test_evaluate_runs_in_bounded_memory(tmp_path):
     assert json.loads((tmp_path / "eval" / "metrics.json").read_text())["mmd"] >= 0.0
 
 
+def test_evaluate_exits_4_when_a_metric_overflows_on_finite_rows(tmp_path):
+    # two cells of 1e308 make wd infinite and the ridge fit NaN; strict JSON
+    # cannot write either, so the command must refuse before --out
+    rng = np.random.default_rng(37)
+    synthetic = rng.standard_normal((40, 3))
+    synthetic[[3, 17], 1] = 1e308
+    for name, values in (("synthetic", synthetic), ("test", rng.standard_normal((40, 3)))):
+        tabular.write_csv(tabular.Table(("a", "b", "c"), values), tmp_path / f"{name}.csv")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    for target in ([], ["--target", "a"]):
+        out = tmp_path / f"eval{len(target)}"
+        argv = ["evaluate", "--synthetic", tmp_path / "synthetic.csv", "--test", tmp_path / "test.csv",
+                "--out", out, *target]
+        done = subprocess.run([sys.executable, "-m", "dpsynth.cli", *map(str, argv)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 4, done.stderr[-2000:]
+        assert "Traceback" not in done.stderr
+        assert "error: wd is inf" in done.stderr
+        assert not out.exists()
+
+
 def test_evaluate_with_target_and_mismatch(tmp_path):
     sim = simulate(tmp_path)
     gen = simulate(tmp_path, "sim2", seed=4)

@@ -177,17 +177,16 @@ def test_all_metrics_match_naive_oracles():
 
 
 # The pairwise metrics work tile by tile; the dense formulas they replaced
-# are the oracles. Small tiles and a small _GATHER_MAX force partial tiles
-# and sampled windows (and, with ties, their narrowing) at test sizes.
-_GATHER_MAXES = [None, 1, 100, 500, 1 << 14]
+# are the oracles. Small tiles force partial tiles, and a lowered
+# _SAMPLE_PAIRS reads the window off smaller samples (one pair's window
+# spans every key), on tie-heavy data too.
+_SAMPLE_PAIRSES = [None, 1, 100, 500, 1 << 14]
 
 
 def _full_pool_median(A, B):
     """The median distance over every pair of the pooled rows, by the
     selector ``median_bandwidth`` runs on at most _BANDWIDTH_ROWS of them."""
-    pool = np.vstack([A, B])
-    pairs = pool.shape[0] * (pool.shape[0] - 1) // 2
-    lo, hi = metrics._pair_order_statistics(pool, ((pairs - 1) // 2, pairs // 2))
+    lo, hi = metrics._middle_sq_dists(np.vstack([A, B]))
     return (math.sqrt(lo) + math.sqrt(hi)) / 2.0
 
 
@@ -202,7 +201,6 @@ def _pool_tiles(A, B):
 def test_tiled_median_and_mmd_match_dense_formulas(n_a, d, small, monkeypatch):
     if small:
         monkeypatch.setattr(metrics, "_GRAM_TILE", 100)
-        monkeypatch.setattr(metrics, "_GATHER_MAX", 500)
     rng = np.random.default_rng(100 + d)
     A = rng.standard_normal((n_a, d))
     B = 1.5 * rng.standard_normal((300, d)) + 0.2
@@ -243,7 +241,6 @@ def test_slab_sum_is_numpys_row_major_sum(d, monkeypatch):
 def test_tiled_metrics_match_dense_at_block_widths(d, small, monkeypatch):
     if small:
         monkeypatch.setattr(metrics, "_GRAM_TILE", 100)
-        monkeypatch.setattr(metrics, "_GATHER_MAX", 500)
     rng = np.random.default_rng(200 + d)
     A = rng.standard_normal((400, d)) * rng.uniform(0.01, 100, d)
     B = 1.5 * rng.standard_normal((300, d)) + 0.2
@@ -254,19 +251,38 @@ def test_tiled_metrics_match_dense_at_block_widths(d, small, monkeypatch):
 
 
 def test_pairwise_metrics_refuse_non_finite_rows():
-    # a NaN distance ranks nowhere: with 200 of 500 pooled rows NaN, 64% of
-    # the pairs are, the middle ranks lie above every comparable key, and a
-    # selection that started would never end
+    # and so do the binned ones and wd. A NaN distance ranks nowhere: with
+    # 200 of 500 pooled rows NaN, 64% of the pairs are, and the middle ranks
+    # lie above every comparable key; a NaN cell casts to bin 0, and an
+    # infinite one stretches the grid
     rng = np.random.default_rng(25)
     A, B = rng.standard_normal((300, 4)), rng.standard_normal((200, 4))
     A[:200, 1] = math.nan
     B[:10, 2] = math.inf
-    for a, b in ((A, B[10:]), (A[200:], B)):
-        for call in (metrics.median_bandwidth, lambda a, b: metrics.mmd(a, b, 1.0)):
+    grid = metrics.fit_grid(B[10:])
+    calls = [metrics.median_bandwidth, lambda a, b: metrics.mmd(a, b, 1.0), metrics.wd_table]
+    calls += [lambda a, b, f=f: f(a, b, grid) for f in (metrics.tvd_1way, metrics.tvd_2way, metrics.js_divergence)]
+    calls += [metrics.tvd_1way, metrics.tvd_2way, metrics.js_divergence]  # on a grid fitted to b
+    for a, b in ((A, B[10:]), (A[200:], B), (B[10:], A), (B, A[200:])):
+        for call in calls:
             with pytest.raises(MetricError):
                 call(a, b)
-    with pytest.raises(MetricError), np.errstate(invalid="ignore"):  # binned first
-        metrics.metric_report(Table(tuple("abcd"), A), Table(tuple("abcd"), B[10:]))
+        with pytest.raises(MetricError):
+            metrics.metric_report(Table(tuple("abcd"), a), Table(tuple("abcd"), b))
+    for bad in (A, B):
+        with pytest.raises(MetricError):
+            metrics.fit_grid(bad)
+    for lo, hi in (([-math.inf], [1.0]), ([0.0], [math.inf]), ([math.nan], [1.0])):
+        with pytest.raises(UsageError):
+            metrics.BinGrid(lo, hi)
+
+
+def test_far_out_of_range_values_land_in_the_edge_bins():
+    # (1e308 - lo) / width overflows, and infinity cast to an integer is
+    # the most negative one, which clips to bin 0
+    grid = metrics.BinGrid([0.0], [1.0], bins=4)
+    X = np.array([[-1e308], [0.1], [0.9], [1e308]])
+    np.testing.assert_array_equal(metrics.bin_indices(grid, X)[:, 0], [0, 0, 3, 3])
 
 
 def test_zero_columns_give_zero_distances():
@@ -289,11 +305,11 @@ def _gaussian(rng):
     return rng.standard_normal((350, 6)), rng.standard_normal((251, 6)) + 0.3
 
 
-@pytest.mark.parametrize("gather_max", _GATHER_MAXES)
+@pytest.mark.parametrize("sample_pairs", _SAMPLE_PAIRSES)
 @pytest.mark.parametrize("make", [_binary, _duplicate_rows], ids=["binary", "duplicate_rows"])
-def test_tiled_median_is_exact_on_ties(make, gather_max, monkeypatch):
-    if gather_max is not None:
-        monkeypatch.setattr(metrics, "_GATHER_MAX", gather_max)
+def test_tiled_median_is_exact_on_ties(make, sample_pairs, monkeypatch):
+    if sample_pairs is not None:
+        monkeypatch.setattr(metrics, "_SAMPLE_PAIRS", sample_pairs)
     A, B = make(np.random.default_rng(21))
     assert len(_pool_tiles(A, B)) >= 1
     h = metrics.median_bandwidth(A, B)
@@ -301,26 +317,16 @@ def test_tiled_median_is_exact_on_ties(make, gather_max, monkeypatch):
     assert abs(metrics.mmd(A, B, h) - nm.dense_mmd(A, B, h)) <= 1e-12
 
 
-@pytest.mark.parametrize("gather_max", _GATHER_MAXES)
-def test_tiled_median_of_zero_still_raises(gather_max, monkeypatch):
-    if gather_max is not None:
-        monkeypatch.setattr(metrics, "_GATHER_MAX", gather_max)
+@pytest.mark.parametrize("sample_pairs", _SAMPLE_PAIRSES)
+def test_tiled_median_of_zero_still_raises(sample_pairs, monkeypatch):
+    if sample_pairs is not None:
+        monkeypatch.setattr(metrics, "_SAMPLE_PAIRS", sample_pairs)
     rng = np.random.default_rng(22)
     A = np.vstack([np.ones((600, 3)), rng.standard_normal((100, 3))])
     B = np.vstack([np.ones((250, 3)), rng.standard_normal((50, 3))])
     assert nm.dense_median_bandwidth(A, B) == 0.0
     with pytest.raises(MetricError):
         metrics.median_bandwidth(A, B)
-
-
-@pytest.mark.parametrize("make", [_binary, _duplicate_rows, _gaussian], ids=["binary", "duplicate_rows", "gaussian"])
-def test_one_key_samples_still_narrow(make, monkeypatch):
-    # a one-key sample cannot narrow a window by its spread: each window
-    # must still leave out a key of the last one
-    monkeypatch.setattr(metrics, "_GATHER_MAX", 1)
-    monkeypatch.setattr(metrics, "_SAMPLE_PAIRS", 1)
-    A, B = make(np.random.default_rng(24))
-    assert metrics.median_bandwidth(A, B) == nm.dense_median_bandwidth(A, B)
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "binary"])
@@ -339,12 +345,8 @@ def test_pairwise_metrics_run_in_bounded_memory(kind):
     assert peak < 32e6
 
 
-# Above _SAMPLE_PAIRS pairs the first window is read off a random sample of
-# pairs, and one walk answers when it holds both middle ranks with at most
-# _GATHER_MAX keys. A lowered _GATHER_MAX of 2^14 still keeps the first
-# window of a 600-row pool (about 180,000 pairs, a sample of about 5,000
-# and a window of about 10,000 keys) whole.
-_BRACKET_GATHER_MAX = 1 << 14
+# Above _SAMPLE_PAIRS pairs the window is read off a random sample of
+# pairs, and one walk answers when it holds both middle ranks.
 
 
 def _count_walks(monkeypatch) -> list:
@@ -381,7 +383,6 @@ def _bracket_returning(monkeypatch, change):
 @pytest.mark.parametrize("d", [1, 10, 30])
 @pytest.mark.parametrize("n_a", [300, 302])
 def test_bracket_median_matches_dense_formula_in_one_walk(n_a, d, monkeypatch):
-    monkeypatch.setattr(metrics, "_GATHER_MAX", _BRACKET_GATHER_MAX)
     walks = _count_walks(monkeypatch)
     rng = np.random.default_rng(300 + d)
     A = rng.standard_normal((n_a, d)) * rng.uniform(0.5, 2.0, d)
@@ -446,49 +447,50 @@ def _shifted_sample(mp):
 
 @pytest.mark.parametrize("miss", [_empty_bracket, _bracket_above_the_ranks, _shifted_sample])
 def test_bracket_miss_falls_back_to_counting_passes(miss, monkeypatch):
-    monkeypatch.setattr(metrics, "_GATHER_MAX", _BRACKET_GATHER_MAX)
     miss(monkeypatch)
     walks = _count_walks(monkeypatch)
     rng = np.random.default_rng(31)
     A, B = rng.standard_normal((350, 6)), rng.standard_normal((250, 6)) + 0.3
     assert metrics.median_bandwidth(A, B) == nm.dense_median_bandwidth(A, B)
-    # the missed window, the side of it that holds the ranks (more than
-    # _GATHER_MAX keys, so sampled), and a window read off that sample
-    assert len(walks) == 3
+    assert len(walks) == 2  # the missed window, then it stretched past the ranks
 
 
-@pytest.mark.parametrize("overflow", [False, True], ids=["fits", "overflows"])
+def test_bracket_miss_at_the_row_cap_is_exact_in_two_walks(monkeypatch):
+    # 1,000 pooled rows, the most the bandwidth selects over: an empty first
+    # window sends the second walk over every key above it, about half of
+    # the 499,500; it held 6.6 MB at its peak, where the selection that
+    # narrowed the missed window's far side by sampling held 6.9 MB
+    _empty_bracket(monkeypatch)
+    walks = _count_walks(monkeypatch)
+    rng = np.random.default_rng(51)
+    A, B = rng.standard_normal((600, 10)), 1.2 * rng.standard_normal((400, 10)) + 0.1
+    tracemalloc.start()
+    try:
+        h = metrics.median_bandwidth(A, B)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert h == nm.dense_median_bandwidth(A, B)
+    assert len(walks) == 2
+    assert peak < 6.9e6
+
+
 @pytest.mark.parametrize("make", [_binary, _duplicate_rows], ids=["binary", "duplicate_rows"])
-def test_bracket_median_is_exact_on_ties(make, overflow, monkeypatch):
+def test_bracket_median_is_exact_on_ties(make, monkeypatch):
     A, B = make(np.random.default_rng(21))
-    pairs = 700 * 699 // 2
-    gather_max = 100 if overflow else pairs - 1
-    monkeypatch.setattr(metrics, "_GATHER_MAX", gather_max)
-    # a 2^16-pair sample puts the duplicate rows' first window on one tied
-    # key value; a smaller one can span two, which overflows into more walks
+    # a 2^16-pair sample puts the duplicate rows' window on one tied key
+    # value, which holds both middle ranks
     monkeypatch.setattr(metrics, "_bracket_size", lambda pairs: 1 << 16)
     walks = _count_walks(monkeypatch)
-    counts, walk = [], metrics._walk
-
-    def counted_walk(*args):
-        result = walk(*args)
-        counts.append(result[1])
-        return result
-
-    monkeypatch.setattr(metrics, "_walk", counted_walk)
     assert metrics.median_bandwidth(A, B) == nm.dense_median_bandwidth(A, B)
-    # the first window holds both middle ranks; kept whole, or, past
-    # _GATHER_MAX keys, as a sample of one tied key value, it answers
     assert len(walks) == 1
-    assert (counts[0] > gather_max) == overflow
 
 
-def test_median_takes_one_walk_above_and_at_most_gather_max():
+def test_median_takes_one_walk_on_full_pools():
+    # 8M pairs of 2,000 + 2,000 rows, and the 499,500 of 500 + 500
     rng = np.random.default_rng(33)
     for rows in (2000, 500):
         A, B = rng.standard_normal((rows, 10)), rng.standard_normal((rows, 10)) + 0.1
-        pool_pairs = rows * (2 * rows - 1)
-        assert (pool_pairs > metrics._GATHER_MAX) == (rows == 2000)
         with pytest.MonkeyPatch.context() as mp:
             walks = _count_walks(mp)
             assert _full_pool_median(A, B) > 0.0
@@ -606,8 +608,7 @@ def _all_rows_too_large(rng):
 def test_gram_bracket_and_mmd_are_exact_on_adversarial_inputs(make, monkeypatch):
     A, B = make(np.random.default_rng(41))
     rows = A.shape[0] + B.shape[0]
-    # the first window is read off a sample even of the 60-row clusters
-    monkeypatch.setattr(metrics, "_GATHER_MAX", rows * (rows - 1) // 2 - 1)
+    # the window is read off a sample even of the 60-row clusters
     monkeypatch.setattr(metrics, "_SAMPLE_PAIRS", rows * (rows - 1) // 2 - 1)
     with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
         if make is _all_rows_too_large:
