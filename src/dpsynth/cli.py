@@ -66,6 +66,11 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {seed}")
+
+
 def _check_table_size(n: int, d: int) -> None:
     """Refuse a table of n x d float64 cells larger than any address space."""
     if n * d * 8 > sys.maxsize:
@@ -79,6 +84,7 @@ def _check_table_size(n: int, d: int) -> None:
 
 def cmd_simulate(args) -> int:
     t0 = time.perf_counter()
+    _check_seed(args.seed)
     if args.graph == "er" and args.attach is not None:
         raise UsageError("--attach applies to --graph sf only")
     if args.graph == "sf" and args.edges is not None:
@@ -266,6 +272,7 @@ def cmd_generate(args) -> int:
     t0 = time.perf_counter()
     if args.n < 1:
         raise UsageError(f"--n must be >= 1, got {args.n}")
+    _check_seed(args.seed)
     g, _ = models.load_checkpoint(args.model)
     pre = None
     if args.preprocessor is not None:

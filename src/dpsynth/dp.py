@@ -170,11 +170,17 @@ def rdp(q: float, sigma: float, steps: int) -> np.ndarray:
     return steps * np.array([rdp_subsampled_gaussian(q, sigma, a) for a in DEFAULT_ORDERS])
 
 
+def _epsilon(rho, alpha, delta: float):
+    """The (epsilon, delta) conversion of RDP rho at order alpha,
+    rho + log(1/delta) / (alpha - 1); elementwise over arrays of orders."""
+    return rho + math.log(1.0 / delta) / (alpha - 1)
+
+
 def eps_and_order(rho: np.ndarray, delta: float):
     """Best (epsilon, order) over an RDP curve on DEFAULT_ORDERS; (inf, None)
     when no order is finite."""
     _check_delta(delta)
-    eps = rho + math.log(1.0 / delta) / (np.array(DEFAULT_ORDERS) - 1)
+    eps = _epsilon(rho, np.array(DEFAULT_ORDERS), delta)
     best = int(np.argmin(eps))
     if not math.isfinite(eps[best]):
         return math.inf, None
@@ -186,12 +192,12 @@ def epsilon_for(q: float, sigma: float, steps: int, delta: float) -> float:
     ``eps_and_order(rdp(q, sigma, steps), delta)[0]``, with the same checks,
     read off only the orders up to just past the best one.
 
-    It scans DEFAULT_ORDERS upward, computing each order's
-    ``steps * rho + log(1/delta) / (alpha - 1)`` as ``eps_and_order`` does,
-    keeps the first minimum, and stops at the first value above the best so
-    far by more than a relative ``_SCAN_GUARD``. No later order can then
-    reach the best. Over real alpha > 1, ``(alpha - 1) rho(alpha)`` is
-    ``max(0, log A(alpha))``, where A(alpha) is the binomial sum, the
+    It scans DEFAULT_ORDERS upward, converting each order's ``steps * rho``
+    by ``eps_and_order``'s own ``_epsilon``, keeps the first minimum, and
+    stops at the first value above the best so far by more than a relative
+    ``_SCAN_GUARD``. No later order can then reach the best. Over real
+    alpha > 1, ``(alpha - 1) rho(alpha)`` is ``max(0, log A(alpha))``,
+    where A(alpha) is the binomial sum, the
     alpha-th moment of the mechanism's likelihood ratio (Mironov, Talwar &
     Zhang 2019). log A is a cumulant generating function, so it is convex,
     and so is ``h(alpha) = steps (alpha - 1) rho(alpha) + log(1/delta)``
@@ -205,11 +211,10 @@ def epsilon_for(q: float, sigma: float, steps: int, delta: float) -> float:
     """
     _check_curve(sigma, steps)
     _check_delta(delta)
-    log_term = math.log(1.0 / delta)
     best = math.inf
     for alpha in DEFAULT_ORDERS:
         rho = steps * rdp_subsampled_gaussian(q, sigma, alpha) if steps else 0.0
-        eps = rho + log_term / (alpha - 1)
+        eps = _epsilon(rho, alpha, delta)
         if eps < best:
             best = eps
         elif eps > best * (1.0 + _SCAN_GUARD):

@@ -37,6 +37,7 @@ second walk keeps it stretched to 0 or infinity on the side of the miss.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -109,7 +110,9 @@ def wd_table(a, b) -> float:
 
 @dataclass
 class BinGrid:
-    """Per-column equal-width bin ranges shared by both samples."""
+    """Per-column equal-width bin ranges shared by both samples. A grid whose
+    bin count squared (a two-way histogram's cells) exceeds ``sys.maxsize``,
+    or whose width hi - lo overflows, is refused."""
 
     lo: np.ndarray
     hi: np.ndarray
@@ -120,12 +123,17 @@ class BinGrid:
         self.hi = np.asarray(self.hi, dtype=np.float64)
         if self.lo.shape != self.hi.shape or self.lo.ndim != 1:
             raise ShapeError("lo/hi must be matching 1-D arrays")
-        if not (np.isfinite(self.lo).all() and np.isfinite(self.hi).all()):
-            raise UsageError("bin edges must be finite")
+        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is NaN: not finite either
+            finite = np.isfinite(self.hi - self.lo).all()
+        if not finite:
+            raise UsageError("bin edges and each hi - lo must be finite")
         if np.any(self.hi <= self.lo):
             raise UsageError("each hi must exceed its lo")
         if self.bins < 2:
             raise UsageError(f"bins must be >= 2, got {self.bins}")
+        cells = int(self.bins) ** 2  # a Python int: numpy's would wrap
+        if cells > sys.maxsize:
+            raise UsageError(f"{self.bins} bins make {cells} two-way cells, more than memory can hold")
 
     @property
     def d(self) -> int:
@@ -134,16 +142,23 @@ class BinGrid:
 
 def fit_grid(reference, bins: int = DEFAULT_BINS) -> BinGrid:
     """Column ranges from the reference table, padded by 0.5% of the range
-    per side (constant columns get a half-unit pad so the grid stays valid)."""
+    per side (constant columns get a half-unit pad so the grid stays valid).
+    A column whose padded range overflows the float range raises
+    ``MetricError``: it has no finite bin width."""
     R = _values(reference)
     if R.ndim != 2 or R.shape[0] == 0:
         raise UsageError("reference must be a non-empty 2-D table")
     _require_finite(R)
     lo = R.min(axis=0)
     hi = R.max(axis=0)
-    span = hi - lo
-    pad = np.where(span > 0, _PAD * span, 0.5)
-    return BinGrid(lo - pad, hi + pad, bins)
+    with np.errstate(over="ignore"):  # an overflowing range is refused below
+        span = hi - lo
+        pad = np.where(span > 0, _PAD * span, 0.5)
+        lo, hi = lo - pad, hi + pad
+        finite = np.isfinite(hi - lo).all()
+    if not finite:
+        raise MetricError("a reference column spans more than the float range: its bins have no finite width")
+    return BinGrid(lo, hi, bins)
 
 
 def bin_indices(grid: BinGrid, X) -> np.ndarray:
@@ -161,51 +176,66 @@ def _hist_1d(idx_col: np.ndarray, bins: int) -> np.ndarray:
     return np.bincount(idx_col, minlength=bins) / idx_col.size
 
 
-def _binned(a, b, grid: BinGrid | None, bins: int):
-    """Bin indices of both tables and the bin count, on ``grid`` or else on
-    one fitted on b with ``bins`` bins."""
+def _binned(a, b, grid: BinGrid):
+    """Bin indices of both tables on ``grid``, and its bin count."""
     A, B = _matrix_pair(a, b)
-    grid = grid or fit_grid(b, bins)
     return bin_indices(grid, A), bin_indices(grid, B), grid.bins
 
 
-def tvd_1way(a, b, grid: BinGrid | None = None, bins: int = DEFAULT_BINS) -> float:
+def tvd_1way(a, b, grid: BinGrid) -> float:
     """Mean over columns of the total variation between binned marginals."""
-    ia, ib, bins = _binned(a, b, grid, bins)
+    ia, ib, bins = _binned(a, b, grid)
     vals = [0.5 * np.abs(_hist_1d(ia[:, j], bins) - _hist_1d(ib[:, j], bins)).sum() for j in range(ia.shape[1])]
     return float(np.mean(vals))
 
 
-def _hists_2d_from(idx: np.ndarray, i: int, bins: int) -> np.ndarray:
-    """Binned joint marginals of column i with each column j > i, one row of
-    bins^2 frequencies per j, from one bincount: pair k's cells are offset
-    by k bins^2."""
-    k = idx.shape[1] - 1 - i
-    flat = idx[:, i, None] * bins + idx[:, i + 1 :]
+# One two-way bincount holds the joint marginals of one column with as many
+# later columns as fit in _HIST_CELLS cells (2 MB of counts), and at least
+# one, so its memory does not grow with d: 655 columns at the default 20
+# bins, 2 at 300.
+_HIST_CELLS = 1 << 18
+
+
+def _hists_2d(idx: np.ndarray, i: int, cols: slice, bins: int) -> np.ndarray:
+    """Binned joint marginals of column i with each column in ``cols``, one
+    row of bins^2 frequencies per column, from one bincount: the k-th
+    column's cells are offset by k bins^2."""
+    later = idx[:, cols]
+    k = later.shape[1]
+    flat = idx[:, i, None] * bins + later
     flat += np.arange(k) * (bins * bins)
     return np.bincount(flat.ravel(), minlength=k * bins * bins).reshape(k, bins * bins) / idx.shape[0]
 
 
-def tvd_2way(a, b, grid: BinGrid | None = None, bins: int = DEFAULT_BINS):
+def _tvd_pairs(ia: np.ndarray, ib: np.ndarray, i: int, cols: slice, bins: int) -> np.ndarray:
+    """Total variation between both tables' binned joint marginals of column
+    i with each column in ``cols``."""
+    diff = _hists_2d(ia, i, cols, bins) - _hists_2d(ib, i, cols, bins)
+    return 0.5 * np.abs(diff, out=diff).sum(axis=1)
+
+
+def tvd_2way(a, b, grid: BinGrid):
     """Total variation between binned pairwise marginals.
 
     Returns (mean, sum) over the C(d, 2) column pairs, in the order (0, 1),
-    (0, 2), ..., (d - 2, d - 1); the mean is the headline value.
+    (0, 2), ..., (d - 2, d - 1); the mean is the headline value. Each pair's
+    value does not depend on how many pairs share its bincount.
     """
-    ia, ib, bins = _binned(a, b, grid, bins)
+    ia, ib, bins = _binned(a, b, grid)
     d = ia.shape[1]
     if d < 2:
         raise UsageError("tvd_2way needs at least two columns")
+    step = max(1, _HIST_CELLS // (bins * bins))
     vals = np.concatenate(
-        [0.5 * np.abs(_hists_2d_from(ia, i, bins) - _hists_2d_from(ib, i, bins)).sum(axis=1) for i in range(d - 1)]
+        [_tvd_pairs(ia, ib, i, slice(j, j + step), bins) for i in range(d - 1) for j in range(i + 1, d, step)]
     )
     return float(np.mean(vals)), float(np.sum(vals))
 
 
-def js_divergence(a, b, grid: BinGrid | None = None, bins: int = DEFAULT_BINS) -> float:
+def js_divergence(a, b, grid: BinGrid) -> float:
     """Sum over columns of the Jensen-Shannon divergence between binned
     marginals, in nats (each column contributes at most ln 2)."""
-    ia, ib, bins = _binned(a, b, grid, bins)
+    ia, ib, bins = _binned(a, b, grid)
     total = 0.0
     for j in range(ia.shape[1]):
         p = _hist_1d(ia[:, j], bins)
@@ -552,14 +582,15 @@ def _feature_split(table: Table, target: str):
     return table.values[:, keep], table.values[:, t]
 
 
-def ridge_fit_predict(X_train, y_train, X_test, lam: float = RIDGE_LAMBDA) -> np.ndarray:
-    """Closed-form ridge with an unpenalized intercept (centered solve)."""
+def ridge_fit_predict(X_train, y_train, X_test) -> np.ndarray:
+    """Closed-form ridge of strength RIDGE_LAMBDA with an unpenalized
+    intercept (centered solve)."""
     X_train = np.asarray(X_train, dtype=np.float64)
     y_train = np.asarray(y_train, dtype=np.float64)
     xm = X_train.mean(axis=0)
     ym = y_train.mean()
     Xc = X_train - xm
-    beta = np.linalg.solve(Xc.T @ Xc + lam * np.eye(Xc.shape[1]), Xc.T @ (y_train - ym))
+    beta = np.linalg.solve(Xc.T @ Xc + RIDGE_LAMBDA * np.eye(Xc.shape[1]), Xc.T @ (y_train - ym))
     return (np.asarray(X_test, dtype=np.float64) - xm) @ beta + ym
 
 

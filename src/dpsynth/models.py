@@ -138,22 +138,6 @@ class Discriminator:
         return self.layers[0].in_dim
 
 
-@dataclass
-class PenaltySchedule:
-    """Per-column group-lasso strength lam * j**gamma (j is the 1-based column)."""
-
-    lam: float
-    gamma: float = 0.0
-
-    def __post_init__(self):
-        if self.lam < 0:
-            raise UsageError(f"lam must be >= 0, got {self.lam}")
-
-    def values(self, d: int) -> np.ndarray:
-        j = np.arange(1, d + 1, dtype=np.float64)
-        return self.lam * j**self.gamma
-
-
 # ---------------------------------------------------------------------------
 # constructors
 
@@ -299,7 +283,7 @@ def generator_grad(
     f: Discriminator,
     g: SequentialGenerator,
     Z_batch: np.ndarray,
-    sched: PenaltySchedule,
+    lam: np.ndarray,
 ) -> np.ndarray:
     """Flat gradient of [-mean critic(fakes) + group-lasso penalty] over all
     generator parameters, in ``g.theta`` order.
@@ -312,12 +296,16 @@ def generator_grad(
     row, and only the prefix columns pass gradient on. The penalty and the
     freeze mask feed no other term, so they are applied once, after the
     loop, to all ``(w_in[k], skip[k])`` groups: prefix group k of column jj
-    gains lam_jj times its ``group_lasso_subgrad`` row (skipped when every
-    lam is 0), and frozen input slots end at exactly zero gradient.
+    gains ``lam[jj]`` times its ``group_lasso_subgrad`` row (skipped when
+    every lam is 0), and frozen input slots end at exactly zero gradient.
+    ``lam`` holds one group-lasso strength per column.
     """
     Z_batch = np.asarray(Z_batch, dtype=np.float64)
     if Z_batch.size == 0:
         raise UsageError("generator gradient needs a non-empty noise batch")
+    lam = np.asarray(lam, dtype=np.float64)
+    if lam.shape != (g.d,):
+        raise ShapeError(f"penalty weights shape {lam.shape}, expected ({g.d},)")
     X, caches = _generator_forward(g, Z_batch)
     B = X.shape[0]
     _, dcaches = disc_forward_batch(f, X)
@@ -344,7 +332,6 @@ def generator_grad(
         end = start
 
     groups = _group_positions(g.d, g.subs[0].width)
-    lam = sched.values(g.d)
     if lam.any():
         sizes = np.arange(1, g.d + 1)  # sub-generator j has j groups, the last one its noise slot
         # group_lasso_subgrad skips only the stack's last row, so the other noise rows are zeroed here

@@ -63,21 +63,24 @@ class TrainConfig:
             raise UsageError("learning rates must be positive")
         if self.lam < 0 or self.tau < 0:
             raise UsageError("lam and tau must be >= 0")
+        if self.seed < 0:
+            raise UsageError(f"seed must be >= 0, got {self.seed}")
         if self.clamp <= 0:
             raise UsageError(f"clamp must be positive, got {self.clamp}")
         if self.init_out_gain <= 0 or self.init_noise_gain <= 0:
             raise UsageError("init gains must be positive")
 
-    @property
-    def penalties(self) -> tuple:
-        """Each phase's group-lasso weight: the penalized phase, then under
-        two_step the unpenalized refit of the pruned model."""
-        return (self.lam, 0.0) if self.two_step else (self.lam,)
+    def penalties(self, d: int) -> tuple:
+        """Each phase's per-column group-lasso strengths over d columns:
+        lam * j**gamma for the 1-based column j in the penalized phase, then
+        under two_step zeros for the unpenalized refit of the pruned model."""
+        lam = self.lam * np.arange(1, d + 1, dtype=np.float64) ** self.gamma
+        return (lam, np.zeros(d)) if self.two_step else (lam,)
 
     @property
     def releases(self) -> int:
         """The run's noisy critic releases, all on one RDP curve: steps per phase."""
-        return self.steps * len(self.penalties)
+        return self.steps * (2 if self.two_step else 1)
 
 
 def poisson_batch(n: int, q: float, rng: np.random.Generator) -> np.ndarray:
@@ -134,10 +137,11 @@ def _run_phase(
     f,
     cfg: TrainConfig,
     q: float,
-    sched: models.PenaltySchedule,
+    lam: np.ndarray,
     rngs,
 ) -> int:
-    """One optimization phase of cfg.steps; returns the generator update count.
+    """One optimization phase of cfg.steps with the per-column group-lasso
+    strengths ``lam``; returns the generator update count.
 
     Steps run in windows ``[k*t_g + 1, (k+1)*t_g]`` (the last one may be
     short). The generator is fixed inside a window, so the window draws its
@@ -173,7 +177,7 @@ def _run_phase(
             f.nu -= cfg.eta_nu * release
             models.clip_weights(f)
         if gen_step:
-            g.theta -= cfg.eta_theta * models.generator_grad(f, g, Z[n_fake:], sched)
+            g.theta -= cfg.eta_theta * models.generator_grad(f, g, Z[n_fake:], lam)
             largest = float(np.max(np.abs(g.theta)))
             if not largest <= DIVERGENCE_LIMIT:  # NaN fails the comparison too
                 raise TrainingDiverged(
@@ -226,14 +230,13 @@ def train(data: Table, cfg: TrainConfig):
     f = models.new_discriminator(data.d, cfg.clamp, rng_init)
     gen_updates = 0
     mask = eps1 = None
-    for phase, lam in enumerate(cfg.penalties):
+    for phase, lam in enumerate(cfg.penalties(data.d)):
         if phase == 1:
             eps1, _ = dp.eps_and_order(cfg.steps * per_step, cfg.dp.delta)
             g, frozen = models.prune(g, cfg.tau)
             mask = [m.tolist() for m in frozen]
-        sched = models.PenaltySchedule(lam, cfg.gamma)
         try:
-            gen_updates += _run_phase(data, g, f, cfg, q, sched, rngs)
+            gen_updates += _run_phase(data, g, f, cfg, q, lam, rngs)
         except TrainingDiverged as exc:
             exc.phase = phase + 1
             exc.epsilon, _ = dp.eps_and_order((phase * cfg.steps + exc.step) * per_step, cfg.dp.delta)

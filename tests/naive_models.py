@@ -61,7 +61,7 @@ def naive_disc_loss_grads(f, X_real, fakes):
     return grads, f_real, f_fake
 
 
-def naive_run_phase(data, g, f, cfg, q, sched, rngs):
+def naive_run_phase(data, g, f, cfg, q, lam, rngs):
     """``training._run_phase`` one step at a time: each step samples its own
     fakes, and every t_g-th step then draws the generator's noise. It keeps
     no divergence guard; it is an arithmetic oracle only."""
@@ -77,12 +77,12 @@ def naive_run_phase(data, g, f, cfg, q, sched, rngs):
             models.clip_weights(f)
         if t % cfg.t_g == 0:
             Zg = rng_z.standard_normal((cfg.batch, data.d))
-            g.theta -= cfg.eta_theta * models.generator_grad(f, g, Zg, sched)
+            g.theta -= cfg.eta_theta * models.generator_grad(f, g, Zg, lam)
             gen_updates += 1
     return gen_updates
 
 
-def naive_generator_grad(f, g, Z_batch, sched):
+def naive_generator_grad(f, g, Z_batch, lam):
     """``models.generator_grad`` column by column: each column's dense-pair
     gradient comes back from ``nn.backward`` as a new array and is copied
     into place, and the column's penalty and freeze mask are applied inside
@@ -92,7 +92,6 @@ def naive_generator_grad(f, g, Z_batch, sched):
     B = X.shape[0]
     _, dcaches = models.disc_forward_batch(f, X)
     dX = -nn.backward(f.layers, dcaches, np.ones((B, 1)))[0] / B
-    lam = sched.values(g.d)
 
     grad = np.empty_like(g.theta)
     end = grad.size

@@ -33,8 +33,8 @@ def objective_delta(f, g, X_batch, Z_batch) -> float:
     return float(real.mean() - fake.mean())
 
 
-def penalized_objective(f, g, X_batch, Z_batch, sched) -> float:
-    lam = sched.values(g.d)
+def penalized_objective(f, g, X_batch, Z_batch, lam) -> float:
+    """Critic separation plus the group-lasso penalty at the per-column strengths lam."""
     penalty = sum(lam[jj] * group_lasso(np.column_stack([s.w_in, s.skip])) for jj, s in enumerate(g.subs))
     return objective_delta(f, g, X_batch, Z_batch) + float(penalty)
 

@@ -20,6 +20,14 @@ def run_cli(*argv):
     return cli.main([str(a) for a in argv])
 
 
+def cli_process(*argv):
+    """``python -m dpsynth.cli`` in a child process, whose stderr shows any traceback."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "dpsynth.cli", *map(str, argv)], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 def simulate(tmp_path, name="sim", d=4, n=120, seed=1, kind="linear"):
     out = tmp_path / name
     assert run_cli("simulate", "--d", d, "--n", n, "--kind", kind, "--seed", seed, "--out", out) == 0
@@ -462,18 +470,63 @@ def test_evaluate_exits_4_when_a_metric_overflows_on_finite_rows(tmp_path):
     synthetic[[3, 17], 1] = 1e308
     for name, values in (("synthetic", synthetic), ("test", rng.standard_normal((40, 3)))):
         tabular.write_csv(tabular.Table(("a", "b", "c"), values), tmp_path / f"{name}.csv")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     for target in ([], ["--target", "a"]):
         out = tmp_path / f"eval{len(target)}"
-        argv = ["evaluate", "--synthetic", tmp_path / "synthetic.csv", "--test", tmp_path / "test.csv",
-                "--out", out, *target]
-        done = subprocess.run([sys.executable, "-m", "dpsynth.cli", *map(str, argv)], env=env,
-                              capture_output=True, text=True, timeout=120)
+        done = cli_process("evaluate", "--synthetic", tmp_path / "synthetic.csv", "--test", tmp_path / "test.csv",
+                           "--out", out, *target)
         assert done.returncode == 4, done.stderr[-2000:]
         assert "Traceback" not in done.stderr
         assert "error: wd is inf" in done.stderr
         assert not out.exists()
+
+
+@pytest.mark.parametrize("top", [1e308, 8.95e307])
+def test_evaluate_exits_4_on_a_test_column_past_the_float_range(tmp_path, top):
+    # at 1e308 the range overflows; at 8.95e307 the padded edges are finite
+    # but lie 1.81e308 apart, so the bins have no finite width
+    rng = np.random.default_rng(41)
+    test = rng.standard_normal((40, 3))
+    test[[5, 9], 1] = -top, top
+    for name, values in (("synthetic", rng.standard_normal((40, 3))), ("test", test)):
+        tabular.write_csv(tabular.Table(("a", "b", "c"), values), tmp_path / f"{name}.csv")
+    out = tmp_path / "eval"
+    done = cli_process("evaluate", "--synthetic", tmp_path / "synthetic.csv", "--test", tmp_path / "test.csv",
+                       "--out", out)
+    assert done.returncode == 4, done.stderr[-2000:]
+    assert "Traceback" not in done.stderr and "float range" in done.stderr
+    assert not out.exists()
+
+
+def test_evaluate_refuses_a_bin_count_past_the_address_space(tmp_path):
+    rng = np.random.default_rng(43)
+    for name in ("synthetic", "test"):
+        tabular.write_csv(tabular.Table(("a", "b"), rng.standard_normal((20, 2))), tmp_path / f"{name}.csv")
+    out = tmp_path / "eval"
+    done = cli_process("evaluate", "--synthetic", tmp_path / "synthetic.csv", "--test", tmp_path / "test.csv",
+                       "--bins", 100_000_000_000, "--out", out)
+    assert done.returncode == 2, done.stderr[-2000:]
+    assert "Traceback" not in done.stderr and "more than memory can hold" in done.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "train --config", "generate", "simulate"])
+def test_negative_seeds_exit_2_and_create_no_out(tmp_path, command):
+    sim = simulate(tmp_path, d=3, n=60)
+    if command == "train":
+        argv = ("train", "--data", sim / "data.csv", "--seed", -1)
+    elif command == "train --config":
+        config = tmp_path / "config.json"
+        config.write_text('{"seed": -2}')
+        argv = ("train", "--data", sim / "data.csv", "--config", config)
+    elif command == "generate":
+        argv = ("generate", "--model", train(tmp_path, sim) / "checkpoint.json", "--n", 5, "--seed", -1)
+    else:
+        argv = ("simulate", "--d", 3, "--n", 10, "--seed", -1)
+    out = tmp_path / "out"
+    done = cli_process(*argv, "--out", out)
+    assert done.returncode == 2, done.stderr[-2000:]
+    assert "Traceback" not in done.stderr and "seed must be >= 0" in done.stderr
+    assert not out.exists()
 
 
 def test_evaluate_with_target_and_mismatch(tmp_path):

@@ -42,6 +42,28 @@ def test_bin_grid_validation_and_clamping():
     np.testing.assert_array_equal(idx[:, 0], [0, 0, 4, 4])
 
 
+def test_grids_past_the_float_range_are_refused():
+    # -1e308 and 1e308 overflow hi - lo before padding; +-8.95e307 pad to
+    # finite edges 1.81e308 apart, whose bins would take negative indices
+    for top in (1e308, 8.95e307):
+        ref = np.array([[-top, 0.0], [top, 1.0]])
+        with pytest.raises(MetricError):
+            metrics.fit_grid(ref)
+    for lo, hi in (([-1e308], [1e308]), ([0.0, -9e307], [1.0, 9.05e307])):
+        with pytest.raises(UsageError):
+            metrics.BinGrid(lo, hi)
+
+
+def test_bin_counts_past_the_address_space_are_refused():
+    # 3,037,000,500^2 cells exceed 2^63 - 1; one bin fewer does not
+    big = 3_037_000_500
+    with pytest.raises(UsageError):
+        metrics.BinGrid([0.0], [1.0], bins=big)
+    with pytest.raises(UsageError):
+        metrics.fit_grid(np.array([[0.0], [1.0]]), bins=10**11)
+    assert metrics.BinGrid([0.0], [1.0], bins=big - 1).bins == big - 1
+
+
 def test_fit_grid_padding():
     t = np.array([[0.0, 5.0], [10.0, 5.0]])
     grid = metrics.fit_grid(t, bins=4)
@@ -84,6 +106,9 @@ def _bits(values):
 def test_tvd_2way_equals_the_per_pair_loop_bit_for_bit():
     rng = np.random.default_rng(5)
     cases = [(2, 1, 2), (2, 1, 20), (3, 7, 2), (34, 299, 29)]
+    # above the split: 300 bins share one bincount among 2 later columns,
+    # 600 bins give every pair its own
+    cases += [(7, 40, 300), (5, 60, 600)]
     cases += [(int(rng.integers(2, 35)), int(rng.integers(1, 300)), int(rng.integers(2, 30))) for _ in range(60)]
     for k, (d, n, bins) in enumerate(cases):
         A = rng.standard_normal((n, d))
@@ -262,7 +287,6 @@ def test_pairwise_metrics_refuse_non_finite_rows():
     grid = metrics.fit_grid(B[10:])
     calls = [metrics.median_bandwidth, lambda a, b: metrics.mmd(a, b, 1.0), metrics.wd_table]
     calls += [lambda a, b, f=f: f(a, b, grid) for f in (metrics.tvd_1way, metrics.tvd_2way, metrics.js_divergence)]
-    calls += [metrics.tvd_1way, metrics.tvd_2way, metrics.js_divergence]  # on a grid fitted to b
     for a, b in ((A, B[10:]), (A[200:], B), (B[10:], A), (B, A[200:])):
         for call in calls:
             with pytest.raises(MetricError):
@@ -343,6 +367,20 @@ def test_pairwise_metrics_run_in_bounded_memory(kind):
     finally:
         tracemalloc.stop()
     assert peak < 32e6
+
+
+def test_tvd_2way_peak_memory_at_300_bins():
+    # one bincount per column held (d - 1) 300^2 counts: 63 MB at d = 30
+    rng = np.random.default_rng(29)
+    A, B = rng.standard_normal((500, 30)), rng.standard_normal((500, 30)) + 0.1
+    grid = metrics.fit_grid(B, bins=300)
+    tracemalloc.start()
+    try:
+        metrics.tvd_2way(A, B, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 # Above _SAMPLE_PAIRS pairs the window is read off a random sample of
@@ -748,8 +786,8 @@ def test_tvd_row_permutation_invariant_and_symmetric():
 def test_ridge_hand_three_point_regression():
     X = np.array([[0.0], [1.0], [2.0]])
     y = np.array([1.0, 3.0, 5.0])
-    pred = metrics.ridge_fit_predict(X, y, X, lam=1e-3)
-    slope = 4.0 / (2.0 + 1e-3)  # centered normal equations by hand
+    pred = metrics.ridge_fit_predict(X, y, X)
+    slope = 4.0 / (2.0 + 1e-3)  # centered normal equations by hand, RIDGE_LAMBDA = 1e-3
     want = 3.0 + slope * (X[:, 0] - 1.0)
     np.testing.assert_allclose(pred, want, rtol=0, atol=1e-12)
 

@@ -202,27 +202,17 @@ def test_group_lasso_scales_absolutely_homogeneously(c, seed):
     assert abs(got - want) <= 1e-9 * max(1.0, want)
 
 
-def test_penalty_schedule_values():
-    sched = models.PenaltySchedule(0.003, 0.0)
-    np.testing.assert_array_equal(sched.values(4), [0.003] * 4)
-    sched = models.PenaltySchedule(2.0, 1.0)
-    np.testing.assert_allclose(sched.values(3), [2.0, 4.0, 6.0])
-    with pytest.raises(UsageError):
-        models.PenaltySchedule(-0.1)
-
-
 def test_penalized_objective_adds_hand_penalty():
     rng = np.random.default_rng(31)
     g = models.random_generator(3, rng)
     f = models.new_discriminator(3, 0.5, rng)
     X = rng.standard_normal((6, 3))
     Z = rng.standard_normal((4, 3))
-    sched = models.PenaltySchedule(0.01, 1.0)
-    lam = sched.values(3)
+    lam = np.array([0.01, 0.02, 0.03])
     groups = [np.column_stack([s.w_in, s.skip]) for s in g.subs]
     penalty = sum(lam[j] * group_lasso(groups[j]) for j in range(3))
     base = objective_delta(f, g, X, Z)
-    got = penalized_objective(f, g, X, Z, sched)
+    got = penalized_objective(f, g, X, Z, lam)
     assert abs(got - (base + penalty)) < 1e-14
 
 
@@ -232,12 +222,12 @@ def test_generator_grad_matches_finite_differences():
     f = models.new_discriminator(3, 0.5, rng)
     X = rng.standard_normal((5, 3))
     Z = rng.standard_normal((4, 3))
-    sched = models.PenaltySchedule(0.01, 0.5)
+    lam = 0.01 * np.arange(1, 4) ** 0.5
 
     def fn(theta):
         g.theta[:] = theta
-        val = penalized_objective(f, g, X, Z, sched)
-        return val, models.generator_grad(f, g, Z, sched)
+        val = penalized_objective(f, g, X, Z, lam)
+        return val, models.generator_grad(f, g, Z, lam)
 
     assert grad_check(fn, g.theta.copy()) < 1e-6
 
@@ -253,21 +243,21 @@ def test_generator_grad_hand_cases_match_finite_differences(lam, frozen):
         g.subs[2].frozen[1] = g.subs[3].frozen[0] = True
     X = rng.standard_normal((5, 4))
     Z = rng.standard_normal((6, 4))
-    sched = models.PenaltySchedule(lam, 0.5)
+    weights = lam * np.arange(1, 5) ** 0.5
 
     def fn(theta):
         g.theta[:] = theta
         for s in g.subs:
             s.w_in[s.frozen] = 0.0
             s.skip[s.frozen] = 0.0
-        val = penalized_objective(f, g, X, Z, sched)
-        return val, models.generator_grad(f, g, Z, sched)
+        val = penalized_objective(f, g, X, Z, weights)
+        return val, models.generator_grad(f, g, Z, weights)
 
     assert grad_check(fn, g.theta.copy()) < 1e-6
     if frozen:
         sl = flat_slices(g)[2]
         w_row = slice(sl["w_in"][0] + 3, sl["w_in"][0] + 6)
-        grad = models.generator_grad(f, g, Z, sched)
+        grad = models.generator_grad(f, g, Z, weights)
         np.testing.assert_array_equal(grad[w_row], np.zeros(3))
         assert grad[sl["skip"][0] + 1] == 0.0
 
@@ -388,11 +378,11 @@ def _grad_cases(d, rng):
 @pytest.mark.parametrize("lam", [0.0, 0.01])
 def test_generator_grad_matches_per_column_oracle_bit_for_bit(d, lam):
     rng = np.random.default_rng(100 + d)
-    sched = models.PenaltySchedule(lam, 0.3)
+    weights = lam * np.arange(1, d + 1) ** 0.3
     for name, g, f in _grad_cases(d, rng):
         Z = rng.standard_normal((17, d))
-        got = models.generator_grad(f, g, Z, sched)
-        want = naive_generator_grad(f, g, Z, sched)
+        got = models.generator_grad(f, g, Z, weights)
+        want = naive_generator_grad(f, g, Z, weights)
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64), err_msg=name)
 
 
@@ -422,7 +412,9 @@ def test_frozen_slots_get_zero_gradient():
     g.subs[2].w_in[1] = 0.0
     g.subs[2].skip[1] = 0.0
     Z = rng.standard_normal((5, 4))
-    grad = models.generator_grad(f, g, Z, models.PenaltySchedule(0.01))
+    grad = models.generator_grad(f, g, Z, np.full(4, 0.01))
+    with pytest.raises(ShapeError):  # one strength per column
+        models.generator_grad(f, g, Z, np.full(3, 0.01))
     sl = flat_slices(g)[2]
     width = 3
     w_start = sl["w_in"][0]
@@ -443,19 +435,19 @@ def test_penalty_group_is_input_row_plus_skip_entry():
     s.skip[0] = 4.0
     X = rng.standard_normal((5, 2))
     Z = rng.standard_normal((5, 2))
-    sched = models.PenaltySchedule(lam)
-    penalty = penalized_objective(f, g, X, Z, sched) - objective_delta(f, g, X, Z)
+    weights = np.full(2, lam)
+    penalty = penalized_objective(f, g, X, Z, weights) - objective_delta(f, g, X, Z)
     assert abs(penalty - 5 * lam) < 1e-14
 
     sl = flat_slices(g)[1]
     w_row = slice(sl["w_in"][0], sl["w_in"][0] + 2)
     skip_k = sl["skip"][0]
-    pen_grad = models.generator_grad(f, g, Z, sched) - models.generator_grad(f, g, Z, models.PenaltySchedule(0.0))
+    pen_grad = models.generator_grad(f, g, Z, weights) - models.generator_grad(f, g, Z, np.zeros(2))
     assert abs(pen_grad[skip_k] - lam * 4 / 5) < 1e-14
     np.testing.assert_allclose(pen_grad[w_row], [lam * 3 / 5, 0.0], rtol=0, atol=1e-14)
 
     s.frozen[0] = True
-    pen_grad = models.generator_grad(f, g, Z, sched) - models.generator_grad(f, g, Z, models.PenaltySchedule(0.0))
+    pen_grad = models.generator_grad(f, g, Z, weights) - models.generator_grad(f, g, Z, np.zeros(2))
     assert pen_grad[skip_k] == 0.0
     np.testing.assert_array_equal(pen_grad[w_row], [0.0, 0.0])
 

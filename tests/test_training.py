@@ -21,11 +21,13 @@ def small_data(seed=0, d=3, n=60, kind="linear"):
 
 def test_lambda_schedule_values():
     def sched(lam, gamma, d):
-        cfg = training.TrainConfig(lam=lam, gamma=gamma)
-        return models.PenaltySchedule(cfg.lam, cfg.gamma).values(d)
+        return training.TrainConfig(lam=lam, gamma=gamma).penalties(d)[0]
 
     np.testing.assert_array_equal(sched(0.003, 0.0, 4), [0.003] * 4)
     np.testing.assert_array_equal(sched(0.0, 1.7, 3), np.zeros(3))
+    np.testing.assert_array_equal(sched(2.0, 1.0, 3), [2.0, 4.0, 6.0])
+    refit = training.TrainConfig(lam=0.003, two_step=True).penalties(3)[1]
+    np.testing.assert_array_equal(refit, np.zeros(3))
     lam20 = sched(0.003, 0.2, 20)[-1]
     assert abs(lam20 - 0.003 * 20**0.2) < 1e-15
     assert abs(lam20 - 0.0054617) < 1e-6
@@ -65,6 +67,8 @@ def test_config_validation():
         training.TrainConfig(lam=-1.0)
     with pytest.raises(UsageError):
         training.TrainConfig(clamp=0.0)
+    with pytest.raises(UsageError):
+        training.TrainConfig(seed=-1)
     assert training.TrainConfig().t_g == 10
 
 
