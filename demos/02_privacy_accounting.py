@@ -14,7 +14,8 @@ from dpsynth import dp
 # exactly alpha / (2 sigma^2); subsampling (q < 1) buys a large discount.
 sigma = 2.0
 for q in (1.0, 0.1, 0.004):
-    costs = [dp.rdp_subsampled_gaussian(q, sigma, a) for a in (2, 8, 32)]
+    curve = dp.rdp(q, sigma, 1)
+    costs = [curve[dp.DEFAULT_ORDERS.index(a)] for a in (2, 8, 32)]
     print(f"q = {q:<6} per-step cost at orders 2/8/32: "
           + "  ".join(f"{c:.2e}" for c in costs))
 

@@ -13,7 +13,7 @@ echo; echo "== simulate: 2000 rows from a random 8-node linear SEM =="
 dpsynth simulate --d 8 --n 2000 --graph er --kind linear --seed 5 --out "$work/sim"
 head -3 "$work/sim/data.csv"
 
-echo; echo "== train: 1000 private steps at sigma = 1.5 =="
+echo; echo "== train: 1500 private steps at sigma = 1.5 =="
 dpsynth train --data "$work/sim/data.csv" --steps 1500 --batch 100 --t-g 5 \
     --eta-theta 0.05 --eta-nu 0.1 --clamp 0.5 \
     --sigma 1.5 --seed 5 --out "$work/run"

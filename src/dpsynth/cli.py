@@ -92,7 +92,8 @@ def cmd_simulate(args) -> int:
     if args.graph == "er":
         dag = semdata.sample_er_dag(args.d, args.edges, seed=args.seed)
     else:
-        dag = semdata.sample_sf_dag(args.d, args.attach or 1, seed=args.seed)
+        attach = 1 if args.attach is None else args.attach
+        dag = semdata.sample_sf_dag(args.d, attach, seed=args.seed)
     spec = semdata.SemSpec(kind=args.kind)
     weights = semdata.sample_weights(dag, spec, seed=args.seed)
     _check_table_size(args.n, args.d)

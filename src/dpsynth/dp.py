@@ -21,7 +21,6 @@ Usage sketch::
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -30,14 +29,12 @@ import numpy as np
 from .errors import CalibrationError, UsageError
 
 DEFAULT_ORDERS = tuple(range(2, 65)) + (128, 256)
+_ORDERS = np.array(DEFAULT_ORDERS)
 DEFAULT_DELTA = 1e-5
 
 _SIGMA_LO = 1e-2
 _SIGMA_HI = 1e3
 _CAL_SLACK = 1e-3
-# Relative rise past the best epsilon that ends epsilon_for's scan: far above
-# the rounding in one order's value, far below any real rise of the curve.
-_SCAN_GUARD = 1e-9
 
 
 @dataclass
@@ -113,61 +110,46 @@ def privatize(grads, cfg: DpConfig, rng: np.random.Generator) -> np.ndarray:
 # accountant
 
 
-def _log_binom(n: int, k: int) -> float:
-    return math.log(math.comb(n, k))
-
-
-# One (q, alpha) per accountant order; calibration bisects sigma over them.
-@functools.lru_cache(maxsize=512)
-def _sigma_free_terms(q: float, alpha: int) -> tuple:
-    """log C(alpha, k) + k log q + (alpha - k) log(1 - q) for k = 0..alpha:
-    each term of the RDP sum but its sigma part, summed in the same order."""
-    log_q = math.log(q)
-    log_1mq = math.log1p(-q)
-    return tuple(_log_binom(alpha, k) + k * log_q + (alpha - k) * log_1mq for k in range(alpha + 1))
-
-
-def rdp_subsampled_gaussian(q: float, sigma: float, alpha: int) -> float:
-    """One-step RDP of order alpha for Poisson sampling rate q and noise sigma."""
-    if not (0.0 <= q <= 1.0):
-        raise UsageError(f"sample rate must lie in [0, 1], got {q}")
-    if sigma < 0:
-        raise UsageError(f"sigma must be >= 0, got {sigma}")
-    if int(alpha) != alpha or alpha < 2:
-        raise UsageError(f"alpha must be an integer >= 2, got {alpha}")
-    alpha = int(alpha)
-    if q == 0.0:
-        return 0.0
-    try:
-        two_var = 2.0 * sigma**2
-    except OverflowError:  # sigma**2 past every float: rho's limit is 0
-        return 0.0
-    if two_var == 0.0:  # no noise, or so little that sigma**2 underflows
-        return math.inf
-    if q == 1.0:
-        return alpha / two_var
-    terms = [t + (k * k - k) / two_var for k, t in enumerate(_sigma_free_terms(q, alpha))]
-    peak = max(terms)
-    if peak == math.inf:  # a term overflows: the bound is past every float
-        return math.inf
-    total = peak + math.log(sum(math.exp(t - peak) for t in terms))
-    return max(0.0, total / (alpha - 1))
-
-
-def _check_curve(sigma: float, steps: int) -> None:
-    if steps < 0:
-        raise UsageError(f"steps must be >= 0, got {steps}")
-    if not 0 <= sigma < math.inf:
-        raise UsageError(f"sigma must be finite and >= 0, got {sigma}")
+# Every order's terms k = 0..alpha laid end to end: _STARTS[i] is where order
+# i's run begins, and log C(alpha, k) is each term's sigma- and q-free part.
+_STARTS = np.concatenate(([0], np.cumsum(_ORDERS + 1)[:-1]))
+_ALPHA = np.repeat(_ORDERS, _ORDERS + 1)
+_K = np.concatenate([np.arange(a + 1, dtype=np.float64) for a in DEFAULT_ORDERS])
+_LOG_BINOM = np.array([math.log(math.comb(a, k)) for a in DEFAULT_ORDERS for k in range(a + 1)])
 
 
 def rdp(q: float, sigma: float, steps: int) -> np.ndarray:
     """RDP curve over DEFAULT_ORDERS of `steps` releases at sample rate q and
-    noise sigma; a run's ledger is the sum of such curves."""
-    _check_curve(sigma, steps)
-    if steps == 0:
+    noise sigma; a run's ledger is the sum of such curves.
+
+    Each order's binomial sum is a log-sum-exp over its run of terms, all
+    orders in one pass: ``reduceat`` takes every run's peak and its sum."""
+    if not (0.0 <= q <= 1.0):
+        raise UsageError(f"sample rate must lie in [0, 1], got {q}")
+    if steps < 0:
+        raise UsageError(f"steps must be >= 0, got {steps}")
+    if not 0 <= sigma < math.inf:
+        raise UsageError(f"sigma must be finite and >= 0, got {sigma}")
+    if steps == 0 or q == 0.0:
         return np.zeros(len(DEFAULT_ORDERS))
-    return steps * np.array([rdp_subsampled_gaussian(q, sigma, a) for a in DEFAULT_ORDERS])
+    try:
+        two_var = 2.0 * sigma**2
+    except OverflowError:  # sigma**2 past every float: rho's limit is 0
+        return np.zeros(len(DEFAULT_ORDERS))
+    if two_var == 0.0:  # no noise, or so little that sigma**2 underflows
+        return np.full(len(DEFAULT_ORDERS), math.inf)
+    # a subnormal 2 sigma^2 overflows a quotient to inf: that order's bound is
+    # past every float and reads inf, not the nan its inf - inf would give
+    with np.errstate(over="ignore", invalid="ignore"):
+        if q == 1.0:
+            return steps * (_ORDERS / two_var)
+        terms = (
+            _LOG_BINOM + _K * math.log(q) + (_ALPHA - _K) * math.log1p(-q) + (_K * _K - _K) / two_var
+        )
+        peak = np.maximum.reduceat(terms, _STARTS)
+        sums = np.add.reduceat(np.exp(terms - np.repeat(peak, _ORDERS + 1)), _STARTS)
+        rho = np.maximum(0.0, (peak + np.log(sums)) / (_ORDERS - 1))
+        return steps * np.where(peak == math.inf, math.inf, rho)
 
 
 def _epsilon(rho, alpha, delta: float):
@@ -180,7 +162,7 @@ def eps_and_order(rho: np.ndarray, delta: float):
     """Best (epsilon, order) over an RDP curve on DEFAULT_ORDERS; (inf, None)
     when no order is finite."""
     _check_delta(delta)
-    eps = _epsilon(rho, np.array(DEFAULT_ORDERS), delta)
+    eps = _epsilon(rho, _ORDERS, delta)
     best = int(np.argmin(eps))
     if not math.isfinite(eps[best]):
         return math.inf, None
@@ -188,38 +170,8 @@ def eps_and_order(rho: np.ndarray, delta: float):
 
 
 def epsilon_for(q: float, sigma: float, steps: int, delta: float) -> float:
-    """Epsilon of `steps` subsampled-Gaussian releases from scratch: exactly
-    ``eps_and_order(rdp(q, sigma, steps), delta)[0]``, with the same checks,
-    read off only the orders up to just past the best one.
-
-    It scans DEFAULT_ORDERS upward, converting each order's ``steps * rho``
-    by ``eps_and_order``'s own ``_epsilon``, keeps the first minimum, and
-    stops at the first value above the best so far by more than a relative
-    ``_SCAN_GUARD``. No later order can then reach the best. Over real
-    alpha > 1, ``(alpha - 1) rho(alpha)`` is ``max(0, log A(alpha))``,
-    where A(alpha) is the binomial sum, the
-    alpha-th moment of the mechanism's likelihood ratio (Mironov, Talwar &
-    Zhang 2019). log A is a cumulant generating function, so it is convex,
-    and so is ``h(alpha) = steps (alpha - 1) rho(alpha) + log(1/delta)``
-    (van Erven & Harremoes 2014 show the same for every Renyi divergence).
-    Then epsilon = h(alpha) / (alpha - 1) is quasiconvex: epsilon <= t
-    exactly where ``h(alpha) - t (alpha - 1) <= 0``, an interval. Once a
-    value exceeds an earlier one, every later order's value is at least as
-    high, and the guard leaves room for rounding. The conversion with the
-    extra term ``(alpha - 1) log(1 - 1/alpha) - log(alpha)`` in h keeps this
-    property, since that term is convex too.
-    """
-    _check_curve(sigma, steps)
-    _check_delta(delta)
-    best = math.inf
-    for alpha in DEFAULT_ORDERS:
-        rho = steps * rdp_subsampled_gaussian(q, sigma, alpha) if steps else 0.0
-        eps = _epsilon(rho, alpha, delta)
-        if eps < best:
-            best = eps
-        elif eps > best * (1.0 + _SCAN_GUARD):
-            break
-    return best
+    """Epsilon of `steps` subsampled-Gaussian releases from scratch."""
+    return eps_and_order(rdp(q, sigma, steps), delta)[0]
 
 
 def calibrate_sigma(target: PrivacySpec, q: float, steps: int) -> float:
@@ -228,9 +180,7 @@ def calibrate_sigma(target: PrivacySpec, q: float, steps: int) -> float:
     Bisects sigma in [1e-2, 1e3] until epsilon lands in
     [target.epsilon * (1 - 1e-3), target.epsilon]; epsilon is monotone
     decreasing in sigma, which is asserted on the bracket. Each point is one
-    ``epsilon_for``, which stops its scan of the orders just past the best
-    one, so a point costs a fraction of a full RDP curve and gives the same
-    epsilon bit for bit.
+    ``epsilon_for``, a full RDP curve.
     """
     if steps < 1:
         raise UsageError(f"steps must be >= 1, got {steps}")

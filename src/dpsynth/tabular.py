@@ -416,6 +416,14 @@ def preprocessor_from_json(payload: dict) -> Preprocessor:
         shift, scale = np.array(shift, dtype=np.float64), np.array(scale, dtype=np.float64)
     except (KeyError, TypeError, ValueError) as err:
         raise UsageError(f"malformed preprocessor payload: {err}") from None
+    # generate writes these names as synthetic.csv's header: each must read back as itself
+    for name in names:
+        if not isinstance(name, str) or not name or name != name.strip():
+            raise UsageError(
+                f"preprocessor column name {name!r} must be a non-blank string without surrounding spaces"
+            )
+    if len(set(names)) != len(names):
+        raise UsageError("duplicate column names in preprocessor")
     return Preprocessor(tuple(names), shift, scale)
 
 

@@ -81,6 +81,9 @@ def test_simulate_usage_errors(tmp_path):
                    "--out", tmp_path / "x") == 2
     assert run_cli("simulate", "--d", 4, "--n", 10, "--graph", "sf", "--edges", 3,
                    "--out", tmp_path / "x") == 2
+    assert run_cli("simulate", "--d", 4, "--n", 10, "--graph", "sf", "--attach", 0,
+                   "--out", tmp_path / "x") == 2
+    assert not (tmp_path / "x").exists()
 
 
 def test_train_nonprivate_files_and_report(tmp_path, capsys):
@@ -675,7 +678,10 @@ def test_generate_maps_bad_preprocessor_files_to_usage_exit(tmp_path):
     run = train(tmp_path, sim)
     good = json.loads((run / "preprocessor.json").read_text())
     cases = {"truncated": '{"columns": ['}
-    for name, key, value in (("text_shift", "shift", "a"), ("nan_scale", "scale", math.nan)):
+    for name, key, value in (("text_shift", "shift", "a"), ("nan_scale", "scale", math.nan),
+                             ("blank_name", "name", ""), ("padded_name", "name", " x2"),
+                             ("duplicate_name", "name", good["columns"][1]["name"]),
+                             ("number_name", "name", 1), ("null_name", "name", None)):
         bad = json.loads(json.dumps(good))
         bad["columns"][0][key] = value
         cases[name] = json.dumps(bad)  # a NaN goes out as the token NaN, which json.load reads
