@@ -132,8 +132,8 @@ def rdp(q: float, sigma: float, steps: int) -> np.ndarray:
         raise UsageError(f"sigma must be finite and >= 0, got {sigma}")
     if steps == 0 or q == 0.0:
         return np.zeros(len(DEFAULT_ORDERS))
-    try:
-        two_var = 2.0 * sigma**2
+    try:  # a Python float overflows with an exception, where a numpy one warns
+        two_var = 2.0 * float(sigma) ** 2
     except OverflowError:  # sigma**2 past every float: rho's limit is 0
         return np.zeros(len(DEFAULT_ORDERS))
     if two_var == 0.0:  # no noise, or so little that sigma**2 underflows

@@ -267,14 +267,16 @@ _TILE_FLOATS = 1 << 17
 # product is 3e-14 to 1.5e-13, 0 to 9 of 136 tiles hold a pair past it, and
 # 0 to 43 of the 8.0M pairs are recomputed; 1e-14 would recompute more.
 _KERNEL_TOL = 1e-13
-# Above _SAMPLE_PAIRS pairs, the median's window is read off the squared
-# distances of _bracket_size(pairs) random row pairs (fixed seed). Its ends
-# sit _BRACKET_SDS binomial standard deviations beyond the sample positions
-# of the middle ranks, so a sample of s pairs leaves about
+# Up to _SAMPLE_PAIRS pairs, the median's first window spans every key.
+# Above it, the window is read off the squared distances of
+# _bracket_size(pairs) random row pairs (fixed seed). Its ends sit
+# _BRACKET_SDS binomial standard deviations beyond the sample positions of
+# the middle ranks, so a sample of s pairs leaves about
 # 2 _BRACKET_SDS sqrt(p (1 - p) / s) pairs = 4 pairs / sqrt(s) keys in it
 # (p = 1/2). The walk recomputes the sample and about those keys, fewest at
 # s = (2 pairs)^(2/3) (Floyd and Rivest's N^(2/3), CACM 1975): 9,993 pairs
-# at 1,000 rows, where 2^16 took about three quarters of the median's time.
+# at 1,000 rows, the most the bandwidth selects over, where a 2^16-pair
+# sample took about three quarters of the median's time.
 _SAMPLE_PAIRS = 1 << 16
 _BRACKET_SDS = 4.0
 # The bandwidth's median runs over the pairs of at most _BANDWIDTH_ROWS
@@ -431,8 +433,8 @@ def _sampled_sq_dists(X: np.ndarray, size: int) -> np.ndarray:
 
 def _bracket_size(pairs: int) -> int:
     """How many random pairs the first window is read off: about
-    (2 pairs)^(2/3), at most _SAMPLE_PAIRS."""
-    return min(_SAMPLE_PAIRS, round((2 * pairs) ** (2 / 3)))
+    (2 pairs)^(2/3), at most 9,993 over _BANDWIDTH_ROWS rows."""
+    return round((2 * pairs) ** (2 / 3))
 
 
 def _bracket(X: np.ndarray, ranks, pairs: int):

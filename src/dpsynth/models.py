@@ -24,6 +24,7 @@ from __future__ import annotations
 import copy
 import functools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -127,8 +128,8 @@ class Discriminator:
     nu: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.clamp <= 0:
-            raise UsageError(f"clamp must be positive, got {self.clamp}")
+        if not 0 < self.clamp < math.inf:
+            raise UsageError(f"clamp must be positive and finite, got {self.clamp}")
         if not self.layers or self.layers[-1].out_dim != 1:
             raise ShapeError("discriminator must end in a scalar layer")
         self.nu = nn.gather([(layer, ("weight", "bias")) for layer in self.layers])
@@ -309,7 +310,7 @@ def generator_grad(
     X, caches = _generator_forward(g, Z_batch)
     B = X.shape[0]
     _, dcaches = disc_forward_batch(f, X)
-    dX = -nn.backward(f.layers, dcaches, np.ones((B, 1)), param_grads=False)[0] / B
+    dX = -nn.backward(f.layers, dcaches, np.ones((B, 1)))[0] / B
 
     grad = np.empty_like(g.theta)
     end = grad.size
@@ -356,10 +357,10 @@ def _group_positions(d: int, width: int) -> np.ndarray:
     return index
 
 
-def disc_loss_grads_batch(f: Discriminator, X_real: np.ndarray, fakes: np.ndarray, out=None):
+def disc_loss_grads_batch(f: Discriminator, X_real: np.ndarray, fakes: np.ndarray, out=None) -> np.ndarray:
     """Per-example critic-loss gradients for real rows paired with fakes.
 
-    Returns ``(grads, f_real, f_fake)`` where ``grads[i]`` is the gradient of
+    Returns the (B, P) block whose row i is the gradient of
     ``-(critic(X_real[i]) - critic(fakes[i]))``, in ``f.nu`` order. The
     stacked rows ``[fakes; X_real]`` take one ``disc_forward_batch`` and one
     per-example ``nn.backward``, seeded +1 for each fake and -1 for each real
@@ -367,27 +368,23 @@ def disc_loss_grads_batch(f: Discriminator, X_real: np.ndarray, fakes: np.ndarra
     from ``sample_batch``; the caller draws them, so one sampling pass can
     serve several steps.
 
-    ``out`` is an optional (rows, P) float64 scratch block. When rows >= 2B
-    the stacked pass fills its first 2B rows, the sum lands in ``out[:B]``,
-    and ``grads`` is that view: it is valid until the next call on the same
-    block. A missing or smaller block is replaced by a fresh one.
+    ``out`` is an optional float64 scratch block of at least 2B rows: the
+    stacked pass fills its first 2B rows, the sum lands in ``out[:B]``, and
+    the result is that view, valid until the next call on the same block. A
+    shorter block raises ``ShapeError``; without one a fresh block is used.
     """
     X_real = np.asarray(X_real, dtype=np.float64)
     fakes = np.asarray(fakes, dtype=np.float64)
     if X_real.shape != fakes.shape:
         raise ShapeError(f"real batch {X_real.shape} and fake batch {fakes.shape} must pair up")
     B = len(fakes)
-    values, caches = disc_forward_batch(f, np.concatenate((fakes, X_real)))
-    if out is None or len(out) < 2 * B:
-        out = np.empty((2 * B, f.nu.size))
-    rows = out[: 2 * B]
+    _, caches = disc_forward_batch(f, np.concatenate((fakes, X_real)))
     delta = np.ones((2 * B, 1))
     delta[B:] = -1.0
-    # the critic's input gradient is not needed, so the pass does not compute it
-    nn.backward(f.layers, caches, delta, per_example=True, out=rows, input_grad=False)
+    _, rows = nn.backward(f.layers, caches, delta, per_example=True, out=None if out is None else out[: 2 * B])
     grads = rows[:B]
     np.add(grads, rows[B:], out=grads)
-    return grads, values[B:], values[:B]
+    return grads
 
 
 def clip_weights(f: Discriminator) -> Discriminator:
@@ -452,23 +449,45 @@ def save_checkpoint(path, g: SequentialGenerator, f: Discriminator) -> None:
         fh.write("\n")
 
 
+# JSON's value types as json.load returns them, by name. Types are compared
+# exactly: a JSON boolean loads as a bool, which Python counts as an int.
+_JSON_TYPES = {"integer": (int,), "number": (int, float), "boolean": (bool,), "list": (list,)}
+
+
+def _typed(value, kind: str, what: str):
+    """``value`` itself if it is a JSON ``kind``, else ``TypeError``."""
+    if type(value) not in _JSON_TYPES[kind]:
+        raise TypeError(f"{what} must be a JSON {kind}, got {type(value).__name__}")
+    return value
+
+
+def _typed_list(value, kind: str, what: str) -> list:
+    """``value`` itself if it is a list of JSON ``kind`` values, else ``TypeError``."""
+    if type(value) is not list or not {type(v) for v in value} <= set(_JSON_TYPES[kind]):
+        raise TypeError(f"{what} must be a list of JSON {kind}s")
+    return value
+
+
 def from_checkpoint_dict(payload: dict):
     """Rebuild (generator, discriminator) from a checkpoint payload. A missing
     field, a value of the wrong type, a wrong size or a non-finite parameter
-    raises ``UsageError``."""
+    raises ``UsageError``: d, hidden_width and disc_widths are JSON integers,
+    clamp a JSON number, theta and nu flat lists of JSON numbers, and the
+    freeze mask one list of JSON booleans per column."""
     try:
         if payload["format"] != CHECKPOINT_FORMAT:
             raise UsageError(f"unrecognized checkpoint format {payload.get('format')!r}")
-        d = int(payload["d"])
-        width = int(payload["hidden_width"])
-        clamp = float(payload["clamp"])
-        disc_widths = [int(w) for w in payload["disc_widths"]]
-        theta = np.asarray(payload["theta"], dtype=np.float64)
-        nu = np.asarray(payload["nu"], dtype=np.float64)
-        mask = [np.asarray(m, dtype=bool) for m in payload["freeze_mask"]]
+        d = _typed(payload["d"], "integer", "d")
+        width = _typed(payload["hidden_width"], "integer", "hidden_width")
+        clamp = float(_typed(payload["clamp"], "number", "clamp"))
+        disc_widths = _typed_list(payload["disc_widths"], "integer", "disc_widths")
+        theta = np.array(_typed_list(payload["theta"], "number", "theta"), dtype=np.float64)
+        nu = np.array(_typed_list(payload["nu"], "number", "nu"), dtype=np.float64)
+        rows = _typed_list(payload["freeze_mask"], "list", "freeze_mask")
+        mask = [np.array(_typed_list(m, "boolean", "freeze_mask row"), dtype=bool) for m in rows]
     except KeyError as missing:
         raise UsageError(f"checkpoint is missing field {missing}") from None
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         raise UsageError(f"checkpoint field has the wrong type: {err}") from None
     if min([d, width, *disc_widths]) < 1:
         raise UsageError(f"checkpoint d, hidden_width and disc_widths must be >= 1, got {d}, {width}, {disc_widths}")

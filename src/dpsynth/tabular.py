@@ -413,8 +413,11 @@ def preprocessor_from_json(payload: dict) -> Preprocessor:
         names = [c["name"] for c in cols]
         shift = [c["shift"] for c in cols]
         scale = [c["scale"] for c in cols]
+        # exact types: a JSON boolean loads as a bool, which Python counts as an int
+        if not {type(v) for v in shift + scale} <= {int, float}:
+            raise TypeError("shifts and scales must be JSON numbers")
         shift, scale = np.array(shift, dtype=np.float64), np.array(scale, dtype=np.float64)
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise UsageError(f"malformed preprocessor payload: {err}") from None
     # generate writes these names as synthetic.csv's header: each must read back as itself
     for name in names:

@@ -170,7 +170,7 @@ def _run_phase(
         for t, idx, end in zip(range(start + 1, stop + 1), batches, ends):
             if idx.size == 0:
                 continue
-            grads = models.disc_loss_grads_batch(f, data.rows(idx), fakes[end - idx.size : end], buf)[0]
+            grads = models.disc_loss_grads_batch(f, data.rows(idx), fakes[end - idx.size : end], buf)
             release = dp.privatize(grads, cfg.dp, rng_noise)
             if not np.all(np.isfinite(release)):
                 raise TrainingDiverged("non-finite critic release", t)

@@ -53,12 +53,12 @@ def naive_disc_loss_grads(f, X_real, fakes):
     +1 and -1), and the real pass is added into the fake pass."""
     X_real = np.asarray(X_real, dtype=np.float64)
     fakes = np.asarray(fakes, dtype=np.float64)
-    f_real, real_caches = models.disc_forward_batch(f, X_real)
-    f_fake, fake_caches = models.disc_forward_batch(f, fakes)
+    _, real_caches = models.disc_forward_batch(f, X_real)
+    _, fake_caches = models.disc_forward_batch(f, fakes)
     ones = np.ones((len(fakes), 1))
     grads = nn.backward(f.layers, fake_caches, ones, per_example=True)[1]
     grads += nn.backward(f.layers, real_caches, -ones, per_example=True)[1]
-    return grads, f_real, f_fake
+    return grads
 
 
 def naive_run_phase(data, g, f, cfg, q, lam, rngs):
@@ -72,7 +72,7 @@ def naive_run_phase(data, g, f, cfg, q, lam, rngs):
         if idx.size > 0:
             Zb = rng_z.standard_normal((idx.size, data.d))
             fakes = models.sample_batch(g, Zb)
-            grads = models.disc_loss_grads_batch(f, data.rows(idx), fakes)[0]
+            grads = models.disc_loss_grads_batch(f, data.rows(idx), fakes)
             f.nu -= cfg.eta_nu * dp.privatize(grads, cfg.dp, rng_noise)
             models.clip_weights(f)
         if t % cfg.t_g == 0:

@@ -85,7 +85,7 @@ def test_criterion_01_gradient_correctness():
 
             x = rng.standard_normal(d)
             z = rng.standard_normal(d)
-            per_ex = models.disc_loss_grads_batch(f, x[None], models.sample_batch(g, z[None]))[0][0]
+            per_ex = models.disc_loss_grads_batch(f, x[None], models.sample_batch(g, z[None]))[0]
 
             def disc_loss(nu_flat):
                 probe_f.nu[:] = nu_flat

@@ -273,11 +273,22 @@ def test_generate_rejects_checkpoints_of_the_wrong_length(tmp_path):
         "nan_in_theta": dict(payload, theta=[math.nan] + payload["theta"][1:]),
         "inf_in_nu": dict(payload, nu=payload["nu"][:-1] + [math.inf]),
         "top_level_list": [payload],
+        "nan_clamp": dict(payload, clamp=math.nan),
+        "inf_clamp": dict(payload, clamp=math.inf),
+        "text_clamp": dict(payload, clamp="0.5"),
+        "text_mask": dict(payload, freeze_mask=[["no"] * j for j in range(1, 4)]),
+        "float_d": dict(payload, d=3.0),
+        "text_width": dict(payload, hidden_width=str(payload["hidden_width"])),
+        "text_in_theta": dict(payload, theta=["0.5"] + payload["theta"][1:]),
+        "boolean_in_nu": dict(payload, nu=[True] + payload["nu"][1:]),
+        "boolean_disc_width": dict(payload, disc_widths=[3, True]),
     }
     for name, broken in bad.items():
         ckpt = tmp_path / f"{name}.json"
-        ckpt.write_text(json.dumps(broken))
-        assert run_cli("generate", "--model", ckpt, "--n", 5, "--out", tmp_path / name) == 2, name
+        ckpt.write_text(json.dumps(broken))  # a NaN or infinity goes out as a token json.load reads
+        out = tmp_path / name
+        assert run_cli("generate", "--model", ckpt, "--n", 5, "--out", out) == 2, name
+        assert not out.exists(), name
 
 
 def test_checkpoint_sizes_are_checked_before_the_model_is_built(tmp_path):
@@ -681,7 +692,8 @@ def test_generate_maps_bad_preprocessor_files_to_usage_exit(tmp_path):
     for name, key, value in (("text_shift", "shift", "a"), ("nan_scale", "scale", math.nan),
                              ("blank_name", "name", ""), ("padded_name", "name", " x2"),
                              ("duplicate_name", "name", good["columns"][1]["name"]),
-                             ("number_name", "name", 1), ("null_name", "name", None)):
+                             ("number_name", "name", 1), ("null_name", "name", None),
+                             ("numeric_text_shift", "shift", "0.5"), ("boolean_scale", "scale", True)):
         bad = json.loads(json.dumps(good))
         bad["columns"][0][key] = value
         cases[name] = json.dumps(bad)  # a NaN goes out as the token NaN, which json.load reads

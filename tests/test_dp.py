@@ -187,6 +187,19 @@ def test_rdp_is_zero_once_sigma_squared_overflows(q):
     assert dp.epsilon_for(q, 1e200, 10, 1e-5) == dp.eps_and_order(dp.rdp(q, 1e200, 10), 1e-5)[0] < math.inf
 
 
+# numpy squares a numpy sigma in its own precision, where sigma**2 warns on
+# overflow (an error under the test settings) and float32 rounds and underflows
+_NUMPY_SIGMAS = [np.float64(v) for v in (1e-200, 1e-155, 1.3, 1e200)] + [np.float32(v) for v in (1e-30, 1.3, 1e30)]
+
+
+@pytest.mark.parametrize("q", [0.1, 1.0])
+@pytest.mark.parametrize("sigma", _NUMPY_SIGMAS, ids=repr)
+def test_rdp_prices_a_numpy_sigma_as_the_equal_python_float(sigma, q):
+    want = dp.rdp(q, float(sigma), 10)
+    np.testing.assert_array_equal(dp.rdp(q, sigma, 10), want)
+    assert dp.epsilon_for(q, sigma, 10, 1e-5) == dp.eps_and_order(want, 1e-5)[0]
+
+
 def test_ledger_composition_is_additive():
     split = dp.rdp(0.02, 1.3, 3) + dp.rdp(0.02, 1.3, 4)
     whole = dp.rdp(0.02, 1.3, 7)

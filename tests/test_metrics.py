@@ -203,8 +203,8 @@ def test_all_metrics_match_naive_oracles():
 
 # The pairwise metrics work tile by tile; the dense formulas they replaced
 # are the oracles. Small tiles force partial tiles, and a lowered
-# _SAMPLE_PAIRS reads the window off smaller samples (one pair's window
-# spans every key), on tie-heavy data too.
+# _SAMPLE_PAIRS reads the window off a sample on small pools, on tie-heavy
+# data too.
 _SAMPLE_PAIRSES = [None, 1, 100, 500, 1 << 14]
 
 
@@ -468,6 +468,20 @@ def test_median_is_exact_either_side_of_the_sampled_bracket(rows, monkeypatch):
     A, B = rng.standard_normal((rows - 150, 6)), rng.standard_normal((150, 6)) + 0.3
     assert metrics.median_bandwidth(A, B) == nm.dense_median_bandwidth(A, B)
     assert sampled == ([] if rows == 362 else [metrics._bracket_size(pairs)])
+
+
+# A sample of fewer than 16 pairs puts both ends of the window off the
+# sample; only a lowered _SAMPLE_PAIRS samples a pool that small (7 rows,
+# 21 pairs, a 12-pair sample). The window then spans every key.
+def test_bracket_ends_off_a_small_sample_span_every_key(monkeypatch):
+    monkeypatch.setattr(metrics, "_SAMPLE_PAIRS", 1)
+    brackets = []
+    _bracket_returning(monkeypatch, lambda lo, hi: brackets.append((lo, hi)) or (lo, hi))
+    walks, sampled = _count_walks(monkeypatch), _count_sampled(monkeypatch)
+    rng = np.random.default_rng(7)
+    A, B = rng.standard_normal((4, 3)), rng.standard_normal((3, 3)) + 0.3
+    assert metrics.median_bandwidth(A, B) == nm.dense_median_bandwidth(A, B)
+    assert sampled == [12] and brackets == [(0.0, math.inf)] and walks == [True]
 
 
 def _empty_bracket(mp):

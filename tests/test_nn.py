@@ -74,37 +74,6 @@ def test_backward_fills_every_entry_of_out_and_returns_it():
         nn.backward(layers, caches, delta, per_example=True, out=np.empty(params.shape))
 
 
-def test_backward_without_input_gradient_keeps_parameter_gradients_bit_for_bit():
-    rng = np.random.default_rng(3)
-    layers, params = _stack(rng)
-    X = rng.normal(size=(6, 3))
-    for stack in (layers, layers[:1]):  # with one layer, the skipped product is its only one
-        out, caches = nn.forward(stack, X)
-        delta = rng.normal(size=out.shape)
-        P = sum(layer.weight.size + layer.bias.size for layer in stack)
-        for per_example, shape in ((False, (P,)), (True, (6, P))):
-            _, want = nn.backward(stack, caches, delta, per_example)
-            d_in, fresh = nn.backward(stack, caches, delta, per_example, input_grad=False)
-            buf = np.full(shape, np.nan)
-            d_in_buf, got = nn.backward(stack, caches, delta, per_example, out=buf, input_grad=False)
-            assert d_in is None and d_in_buf is None and got is buf
-            np.testing.assert_array_equal(fresh.view(np.uint64), want.view(np.uint64))
-            np.testing.assert_array_equal(buf.view(np.uint64), want.view(np.uint64))
-
-
-def test_backward_without_parameter_gradients_keeps_the_input_gradient_bit_for_bit():
-    rng = np.random.default_rng(4)
-    layers, _ = _stack(rng)
-    X = rng.normal(size=(6, 3))
-    for stack in (layers, layers[:1]):
-        out, caches = nn.forward(stack, X)
-        delta = rng.normal(size=out.shape)
-        want, _ = nn.backward(stack, caches, delta)
-        got, params = nn.backward(stack, caches, delta, param_grads=False)
-        assert params is None
-        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
-
-
 def test_backward_matches_finite_differences():
     rng = np.random.default_rng(1)
     layers, params = _stack(rng)

@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 import os
 import signal
@@ -559,6 +560,12 @@ def test_preprocessor_json_round_trip(tmp_path):
     np.testing.assert_array_equal(q.scale, p.scale)
     with pytest.raises(UsageError):
         tabular.preprocessor_from_json({"cols": []})
+    good = tabular.preprocessor_to_json(p)
+    for key, value in (("shift", "0.5"), ("scale", True), ("shift", False), ("scale", [3.0])):
+        bad = json.loads(json.dumps(good))
+        bad["columns"][1][key] = value
+        with pytest.raises(UsageError, match="malformed"):
+            tabular.preprocessor_from_json(bad)
     with pytest.raises(UsageError):
         tabular.Preprocessor(("a",), np.array([0.0]), np.array([0.0]))
 
