@@ -7,37 +7,29 @@ column pairs (the summed variant is reported alongside, since it grows with
 the pair count). Jensen-Shannon is summed over columns in natural log. Every
 metric refuses a table with a NaN or infinite cell.
 
-The pairwise metrics (the median-heuristic bandwidth and MMD) never build
-the (n, m, d) difference tensor, so memory stays bounded at any row count.
-One walker, ``_gram_tiles``, builds the squared distances in 256 x 256
-tiles (one reused 512 KB buffer) as |x|^2 + |y|^2 - 2 x.y, on rows centred
-at the pool's mean, with one BLAS product per tile and nothing else: the
-squared norms ride in the operands, [x, |x|^2, 1] against
-[-2 y, 1, |y|^2]. It bounds each tile's error against the dense formula;
-one exact formula, ``_pair_sq_dists``, recomputes a pair bit for bit as the
-dense tensor gives it. In a tile where gamma times the bound is not below
-_KERNEL_TOL, MMD recomputes each pair whose own bound (from its two rows'
-norms) is not below it either, so it stays within 4e-13 of the dense
-formula.
+The pairwise metrics never build the (n, m, d) difference tensor, so
+memory stays bounded at any row count. The median-heuristic bandwidth
+(Gretton et al., JMLR 2012) is the median distance over every pair of the
+pooled rows when there are at most _MEDIAN_PAIRS pairs (181 rows), and over
+_MEDIAN_PAIRS pairs of the whole pool drawn with a fixed seed above that;
+either way it is ``np.median`` of those pairs' distances by the dense
+per-pair formula, ``_pair_sq_dists``, bit for bit. Finiteness is checked
+over the whole pool.
 
-The median-heuristic bandwidth is the median distance over the pairs of at
-most _BANDWIDTH_ROWS pooled rows: the whole pool up to that size, above it
-the rows at a fixed stride (``np.linspace`` indices, rounded), so no random
-number is drawn; it is commonly taken on a subsample (Gretton et al., JMLR
-2012). Finiteness is checked over the whole pool, and MMD sums every pair.
-The median is an exact selection, bit-identical to ``np.median`` of those
-pairwise distances. One Gram walk counts exactly the squared distances
-below a window and keeps those inside it: a pair whose Gram value lies more
-than its tile's error bound outside the window is counted or passed over,
-and the rest are recomputed. The window is read off the distances of about
-(2 pairs)^(2/3) random pairs, at most 2^16; should it miss a middle rank, a
-second walk keeps it stretched to 0 or infinity on the side of the miss.
+MMD sums every pair. Its walker, ``_gram_tiles``, builds the squared
+distances in 256 x 256 tiles (one reused 512 KB buffer) as
+|x|^2 + |y|^2 - 2 x.y, on rows centred at the pool's mean, with one BLAS
+product per tile and nothing else: the squared norms ride in the operands,
+[x, |x|^2, 1] against [-2 y, 1, |y|^2]. It bounds each tile's error against
+the dense formula. In a tile where gamma times the bound is not below
+_KERNEL_TOL, MMD recomputes by ``_pair_sq_dists`` each pair whose own bound
+(from its two rows' norms) is not below it either, so it stays within
+4e-13 of the dense formula.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -108,11 +100,17 @@ def wd_table(a, b) -> float:
 # binned metrics
 
 
+# One column pair's two-way TVD holds about 24 bytes a cell of its bins^2
+# (both tables' frequencies and their difference; tracemalloc read 24.1-24.2
+# at 600 and 1,000 bins): _MAX_BINS keeps that under 1 GiB.
+_MAX_BINS = math.isqrt(2**30 // 24)  # 6,688
+
+
 @dataclass
 class BinGrid:
-    """Per-column equal-width bin ranges shared by both samples. A grid whose
-    bin count squared (a two-way histogram's cells) exceeds ``sys.maxsize``,
-    or whose width hi - lo overflows, is refused."""
+    """Per-column equal-width bin ranges shared by both samples. A grid of
+    more than _MAX_BINS bins, or whose width hi - lo overflows, is
+    refused."""
 
     lo: np.ndarray
     hi: np.ndarray
@@ -131,9 +129,11 @@ class BinGrid:
             raise UsageError("each hi must exceed its lo")
         if self.bins < 2:
             raise UsageError(f"bins must be >= 2, got {self.bins}")
-        cells = int(self.bins) ** 2  # a Python int: numpy's would wrap
-        if cells > sys.maxsize:
-            raise UsageError(f"{self.bins} bins make {cells} two-way cells, more than memory can hold")
+        if self.bins > _MAX_BINS:
+            raise UsageError(
+                f"{self.bins} bins make two-way histograms of {self.bins}^2 cells, more than memory can hold"
+                f" (at most {_MAX_BINS} bins)"
+            )
 
     @property
     def d(self) -> int:
@@ -267,24 +267,14 @@ _TILE_FLOATS = 1 << 17
 # product is 3e-14 to 1.5e-13, 0 to 9 of 136 tiles hold a pair past it, and
 # 0 to 43 of the 8.0M pairs are recomputed; 1e-14 would recompute more.
 _KERNEL_TOL = 1e-13
-# Up to _SAMPLE_PAIRS pairs, the median's first window spans every key.
-# Above it, the window is read off the squared distances of
-# _bracket_size(pairs) random row pairs (fixed seed). Its ends sit
-# _BRACKET_SDS binomial standard deviations beyond the sample positions of
-# the middle ranks, so a sample of s pairs leaves about
-# 2 _BRACKET_SDS sqrt(p (1 - p) / s) pairs = 4 pairs / sqrt(s) keys in it
-# (p = 1/2). The walk recomputes the sample and about those keys, fewest at
-# s = (2 pairs)^(2/3) (Floyd and Rivest's N^(2/3), CACM 1975): 9,993 pairs
-# at 1,000 rows, the most the bandwidth selects over, where a 2^16-pair
-# sample took about three quarters of the median's time.
-_SAMPLE_PAIRS = 1 << 16
-_BRACKET_SDS = 4.0
-# The bandwidth's median runs over the pairs of at most _BANDWIDTH_ROWS
-# pooled rows: at most 499,500 pairs, about 6 ms at d=10 at any pool size,
-# where all the pairs of 20,000 + 20,000 rows took 4.3 s. On release-d10's
-# 2,000 + 2,000 x 10 evaluate (workload seeds 1-8 and 31) the stride moved
-# the bandwidth by 0.2-2.3% and MMD by 0.4-4.9% from their all-pairs values.
-_BANDWIDTH_ROWS = 1000
+# The bandwidth's median reads every pair of a pool of at most _MEDIAN_PAIRS
+# pairs and _MEDIAN_PAIRS sampled pairs of a larger one (128 KB of keys).
+# On 500 + 500 rows (d = 10 and 30) and 2,000 + 2,000 (d = 10), Gaussian or
+# with bimodal cells, the sample's median lay within 0.4% of the all-pairs
+# median and took 1.2-1.8 ms (one BLAS thread, 2-CPU Xeon). On rows in two
+# equal clusters the all-pairs median falls in the gap between the within-
+# and across-cluster distances, and the sample's missed it by 10-17%.
+_MEDIAN_PAIRS = 1 << 14
 _UNIT_ROUNDOFF = 2.0**-53
 _SMALLEST_SUBNORMAL = 2.0**-1074
 
@@ -408,118 +398,34 @@ def _pair_sq_dists(X: np.ndarray, Y: np.ndarray, i: np.ndarray, j: np.ndarray) -
     out = np.empty(i.size)
     step = max(1, _TILE_FLOATS // max(X.shape[1], 1))
     for s in range(0, i.size, step):
-        diff = X[i[s : s + step]]
-        diff -= Y[j[s : s + step]]
+        diff = X.take(i[s : s + step], axis=0)  # take gathers rows faster than X[i]
+        diff -= Y.take(j[s : s + step], axis=0)
         np.square(diff, out=diff)
         diff.sum(axis=1, out=out[s : s + step])
     return out
 
 
-def _sampled_sq_dists(X: np.ndarray, size: int) -> np.ndarray:
-    """Squared distances of ``size`` row pairs i != j of X, drawn uniformly
-    at random with a fixed seed, in blocks of at most _TILE_FLOATS floats."""
-    n, d = X.shape
-    rng = np.random.default_rng(0)
-    out = np.empty(size)
-    step = max(1, _TILE_FLOATS // max(2 * d, 1))
-    for s0 in range(0, size, step):
-        m = min(step, size - s0)
-        i = rng.integers(0, n, m)
-        j = rng.integers(0, n - 1, m)
-        j += j >= i
-        out[s0 : s0 + m] = _pair_sq_dists(X, X, i, j)
-    return out
-
-
-def _bracket_size(pairs: int) -> int:
-    """How many random pairs the first window is read off: about
-    (2 pairs)^(2/3), at most 9,993 over _BANDWIDTH_ROWS rows."""
-    return round((2 * pairs) ** (2 / 3))
-
-
-def _bracket(X: np.ndarray, ranks, pairs: int):
-    """A window of squared distances likely to hold the keys at the two
-    ranks: all of them at or below _SAMPLE_PAIRS pairs, else one read off
-    the sorted distances of ``_bracket_size(pairs)`` random row pairs (the
-    sample keys below rank r are about binomial, p = r / pairs); an end that
-    falls off the sample stays at 0 or infinity."""
-    if pairs <= _SAMPLE_PAIRS:
-        return 0.0, math.inf
-    sample = np.sort(_sampled_sq_dists(X, _bracket_size(pairs)))
-    s = sample.size
-
-    def position(rank: int, side: int) -> float:
-        p = rank / pairs
-        return s * p + side * _BRACKET_SDS * math.sqrt(s * p * (1.0 - p))
-
-    a, b = math.floor(position(ranks[0], -1)), math.ceil(position(ranks[1] + 1, 1))
-    return (float(sample[a]) if 0 <= a < s else 0.0), (float(sample[b]) if b < s else math.inf)
-
-
-def _walk(X: np.ndarray, lo: float, hi: float, centre: np.ndarray):
-    """One Gram walk over the row pairs i < j of X for the window [lo, hi]
-    of squared distances: the exact number of distances below it and every
-    distance inside it. A pair whose Gram value lies more than its tile's
-    err below lo is counted below, one more than err above hi is passed
-    over, and the rest, every pair of a tile whose G is NaN or err infinite
-    included, are recomputed by the dense per-pair formula."""
-    below, size, kept = 0, 0, np.empty(0)
-    for i0, j0, G, err, mask, _ in _gram_tiles(X, X, upper=True, centre=centre):
-        # thresholds rounded outwards, so that G < lo - err implies a
-        # distance below lo, and G > hi + err one above hi; NaN fails both
-        under = G < np.nextafter(lo - err, -math.inf)
-        near = ~(under | (G > np.nextafter(hi + err, math.inf)))
-        if mask is not None:
-            under &= mask
-            near &= mask
-        below += np.count_nonzero(under)
-        i, j = np.divmod(np.flatnonzero(near), G.shape[1])
-        keys = _pair_sq_dists(X, X, np.add(i, i0, out=i), np.add(j, j0, out=j))
-        below += np.count_nonzero(keys < lo)
-        keys = keys[(keys >= lo) & (keys <= hi)]
-        # kept grows in place, so no key is ever held twice
-        if size + keys.size > kept.size:
-            kept.resize(max(size + keys.size, 2 * kept.size), refcheck=False)
-        kept[size : size + keys.size] = keys
-        size += keys.size
-    kept.resize(size, refcheck=False)
-    return below, kept
-
-
-def _middle_sq_dists(X: np.ndarray):
-    """The exact squared distances at the 0-based ranks (pairs - 1) // 2 and
-    pairs // 2 among those of all row pairs i < j of the finite rows X. One
-    walk counts the keys below ``_bracket``'s window and keeps those inside;
-    should a middle rank fall outside them, a second walk keeps the window
-    stretched to 0 or infinity on that side (every key, if a rank fell out
-    on each). The ranks are equal or adjacent: one partition reads both."""
-    pairs = X.shape[0] * (X.shape[0] - 1) // 2
-    ranks = ((pairs - 1) // 2, pairs // 2)
-    centre = X.mean(axis=0)
-    lo, hi = _bracket(X, ranks, pairs)
-    below, kept = _walk(X, lo, hi, centre)
-    low, high = ranks[0] < below, ranks[1] >= below + kept.size
-    if low or high:
-        kept = None  # the missed window's keys are not held through the next walk
-        below, kept = _walk(X, 0.0 if low else lo, math.inf if high else hi, centre)
-    k = ranks[1] - below
-    kept.partition(k)
-    return (float(kept[:k].max()) if ranks[0] < ranks[1] else float(kept[k])), float(kept[k])
-
-
 def median_bandwidth(a, b) -> float:
-    """Median pairwise Euclidean distance over at most _BANDWIDTH_ROWS of the
-    pooled rows: all N of them up to that size, else the rows at
-    ``np.linspace(0, N - 1, _BANDWIDTH_ROWS)`` rounded, distinct at a fixed
-    stride. Every pooled row must be finite, the skipped ones too. The mean
-    of the square roots of the two middle squared distances, selected tile
-    by tile (``_middle_sq_dists``), is ``np.median``'s value over those
-    rows' distances bit for bit (sqrt is monotone)."""
+    """Median pairwise Euclidean distance of the pooled rows, over all
+    their pairs i < j up to _MEDIAN_PAIRS of them, else over _MEDIAN_PAIRS
+    pairs i != j drawn uniformly with a fixed seed. Every pooled row must
+    be finite, those no sampled pair touches too. The mean of the square
+    roots of the two middle squared distances (one partition reads both) is
+    ``np.median`` of those distances bit for bit: sqrt is monotone."""
     pool = np.vstack(_matrix_pair(a, b))
-    if pool.shape[0] > _BANDWIDTH_ROWS:
-        pool = pool[np.round(np.linspace(0, pool.shape[0] - 1, _BANDWIDTH_ROWS)).astype(np.intp)]
-    lo, hi = _middle_sq_dists(pool)
-    h = (math.sqrt(lo) + math.sqrt(hi)) / 2.0
+    n = pool.shape[0]
+    if n * (n - 1) // 2 <= _MEDIAN_PAIRS:
+        i, j = np.triu_indices(n, k=1)
+    else:
+        rng = np.random.default_rng(0)
+        i = rng.integers(0, n, _MEDIAN_PAIRS)
+        j = rng.integers(0, n - 1, _MEDIAN_PAIRS)
+        j += j >= i  # uniform over the rows other than i
+    sq = _pair_sq_dists(pool, pool, i, j)
+    k = sq.size // 2
+    sq.partition(k)
+    lo = sq[:k].max() if sq.size % 2 == 0 else sq[k]
+    h = (math.sqrt(lo) + math.sqrt(sq[k])) / 2.0
     if h == 0.0:
         raise MetricError("median pairwise distance is zero; bandwidth undefined")
     return h
@@ -650,7 +556,11 @@ def metric_report(
     ``timings`` (``downstream.ridge`` only with a target). The two-way TVD
     needs two columns; with one it is NaN here and null in ``to_dict``. Any
     other value that is not finite (one overflowed on finite rows) raises
-    ``MetricError`` naming it."""
+    ``MetricError`` naming it.
+
+    The held-out rows are treated as private. Every figure here, the grid,
+    ``n_test`` and the sampled bandwidth included, is an un-noised statistic
+    of them that no epsilon covers."""
     timings = {}
 
     def timed(name, fn, *args):

@@ -160,13 +160,24 @@ def dense_median_bandwidth(A, B):
     return float(np.median(np.sqrt(sq)))
 
 
-def stride_median_bandwidth(A, B, rows=1000):
-    # the median bandwidth's definition: the dense median over the pooled
-    # rows at np.linspace(0, N - 1, rows) rounded, all of them up to rows
+def sampled_pairs(n, pairs=1 << 14):
+    # the row pairs the median bandwidth draws from an n-row pool: i
+    # uniform, j uniform over the other n - 1 rows, seed 0
+    rng = np.random.default_rng(0)
+    i = rng.integers(0, n, pairs)
+    j = rng.integers(0, n - 1, pairs)
+    return i, np.where(j >= i, j + 1, j)
+
+
+def sampled_median_bandwidth(A, B, pairs=1 << 14):
+    # the median bandwidth's definition: np.median of the distances over
+    # every pair of the pooled rows up to `pairs` of them, else over
+    # `pairs` fixed-seed pairs (``sampled_pairs``), each by the dense formula
     pool = np.vstack([np.asarray(A, float), np.asarray(B, float)])
-    if pool.shape[0] > rows:
-        pool = pool[np.round(np.linspace(0, pool.shape[0] - 1, rows)).astype(int)]
-    return dense_median_bandwidth(pool, pool[:0])
+    if pool.shape[0] * (pool.shape[0] - 1) // 2 <= pairs:
+        return dense_median_bandwidth(pool, pool[:0])
+    i, j = sampled_pairs(pool.shape[0], pairs)
+    return float(np.median(np.sqrt(((pool[i] - pool[j]) ** 2).sum(axis=1))))
 
 
 def dense_mmd(A, B, h):

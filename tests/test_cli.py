@@ -523,6 +523,29 @@ def test_evaluate_refuses_a_bin_count_past_the_address_space(tmp_path):
     assert not out.exists()
 
 
+def test_evaluate_refuses_a_bin_count_past_the_histogram_cap(tmp_path):
+    # 30,000 bins would ask one column pair's two-way TVD for about 22 GB.
+    # The child's address space is capped at 2 GiB, so a grid that began to
+    # count cells would fail with MemoryError, not with the cap's message
+    rng = np.random.default_rng(47)
+    for name in ("synthetic", "test"):
+        tabular.write_csv(tabular.Table(("a", "b"), rng.standard_normal((20, 2))), tmp_path / f"{name}.csv")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    out = tmp_path / "eval"
+    argv = ["evaluate", "--synthetic", tmp_path / "synthetic.csv", "--test", tmp_path / "test.csv",
+            "--bins", 30_000, "--out", out]
+    code = (
+        "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+        "from dpsynth.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    done = subprocess.run([sys.executable, "-c", code, *map(str, argv)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2, done.stderr[-2000:]
+    assert "Traceback" not in done.stderr and "more than memory can hold (at most 6688 bins)" in done.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["train", "train --config", "generate", "simulate"])
 def test_negative_seeds_exit_2_and_create_no_out(tmp_path, command):
     sim = simulate(tmp_path, d=3, n=60)
